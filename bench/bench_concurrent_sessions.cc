@@ -469,9 +469,8 @@ int main(int argc, char** argv) {
     cache_stats = cached.query_cache_stats();
   }
 
-  // Every answer probe classifies as exactly one of hit/miss/invalidation;
-  // resolution invalidations share the invalidation counter, which only
-  // makes this denominator (and the floor) conservative.
+  // Every answer probe classifies as exactly one of hit/miss/invalidation
+  // (resolution probes have their own counters).
   const double classified = double(cache_stats.hits + cache_stats.misses +
                                    cache_stats.invalidations);
   cache_hit_rate = classified == 0 ? 0 : double(cache_stats.hits) / classified;

@@ -192,10 +192,14 @@ std::vector<KeywordMatch> KeywordResolver::ResolveScored(
   // (rid, relevance) accumulation; duplicates keep the best relevance.
   std::vector<std::pair<Rid, double>> hits;
 
-  // Expand the keyword (identity when approx matching is off); relevance
-  // decays with edit distance, prefix expansions score 0.7.
-  std::vector<std::string> keywords =
-      ExpandKeyword(*index_, term.keyword, options.approx);
+  // Expand the keyword over the base and delta vocabularies (identity when
+  // approx matching is off); relevance decays with edit distance, prefix
+  // expansions score 0.7.
+  std::vector<std::string> keywords = ExpandKeyword(
+      *index_,
+      index_delta_ != nullptr ? std::span(index_delta_->keywords())
+                              : std::span<const std::string>(),
+      term.keyword, options.approx);
   if (keywords.empty()) keywords.push_back(term.keyword);
   if (provenance != nullptr) provenance->tokens = keywords;
 
@@ -221,8 +225,7 @@ std::vector<KeywordMatch> KeywordResolver::ResolveScored(
     };
     add_hits(index_->Lookup(kw));
     // Tuples written after the snapshot froze are searchable through the
-    // delta postings before any refreeze. (Approx expansion only sees the
-    // base vocabulary; exact hits on fresh keywords still land here.)
+    // delta postings before any refreeze.
     if (index_delta_ != nullptr) {
       if (const auto* extra = index_delta_->Lookup(kw)) add_hits(*extra);
     }

@@ -58,8 +58,10 @@ struct MatchOptions {
 /// Why a term resolved to its node set — the inputs a cached resolution
 /// depends on, used by the query cache's mutation journal to decide
 /// whether a stored resolution is still exact after mid-epoch deltas:
-///   - `tokens`: the expanded index tokens looked up (approx expansion
-///     only sees the base vocabulary, so this list is epoch-static);
+///   - `tokens`: the expanded index tokens looked up. Approx expansion
+///     also sees the delta vocabulary, so a later write can change this
+///     list too: the cache treats a journaled token near the term as
+///     touching it (QueryCache::ResolutionStillValid);
 ///   - `tables`: ids of metadata-matched tables (every live row of those
 ///     tables is a match, so any row change there perturbs the set);
 ///   - `numeric`: the term read live column values (numeric terms); such

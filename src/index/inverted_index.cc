@@ -1,39 +1,88 @@
 #include "index/inverted_index.h"
 
 #include <algorithm>
-#include <fstream>
+#include <iterator>
+#include <ranges>
 
 #include "index/tokenizer.h"
-#include "util/string_util.h"
 
 namespace banks {
 
-void InvertedIndex::Detach() {
-  if (!arena_) return;
-  postings_.clear();
-  postings_.reserve(views_.size());
-  for (const auto& [kw, span] : views_) {
-    postings_.emplace(kw, std::vector<Rid>(span.begin(), span.end()));
+struct InvertedIndex::Layout {
+  std::string blob;
+  std::vector<uint64_t> keyword_offsets{0};
+  std::vector<uint64_t> posting_offsets{0};
+  std::vector<Rid> postings;
+
+  void Append(std::string_view keyword, std::span<const Rid> rids) {
+    blob.append(keyword);
+    keyword_offsets.push_back(blob.size());
+    postings.insert(postings.end(), rids.begin(), rids.end());
+    posting_offsets.push_back(postings.size());
   }
-  views_.clear();
-  arena_.reset();
-  finalized_ = true;  // view lists are finalized by contract
+};
+
+namespace {
+
+void AddTokens(std::string_view text, Rid rid,
+               std::unordered_map<std::string, std::vector<Rid>>* lists) {
+  for (auto& tok : Tokenize(text)) (*lists)[std::move(tok)].push_back(rid);
 }
 
-void InvertedIndex::AttachViews(
-    std::vector<std::pair<std::string, std::span<const Rid>>> entries,
-    std::shared_ptr<const void> arena) {
-  postings_.clear();
-  views_.clear();
-  views_.reserve(entries.size());
-  for (auto& [kw, span] : entries) views_.emplace(std::move(kw), span);
-  arena_ = std::move(arena);
-  finalized_ = true;
+void SortUnique(std::vector<Rid>* rids) {
+  std::sort(rids->begin(), rids->end());
+  rids->erase(std::unique(rids->begin(), rids->end()), rids->end());
+}
+
+}  // namespace
+
+InvertedIndex::InvertedIndex(std::string_view keyword_blob,
+                             std::span<const uint64_t> keyword_offsets,
+                             std::span<const uint64_t> posting_offsets,
+                             std::span<const Rid> postings,
+                             std::shared_ptr<const void> arena)
+    : blob_(keyword_blob),
+      keyword_offsets_(keyword_offsets),
+      posting_offsets_(posting_offsets),
+      postings_(postings),
+      storage_(std::move(arena)),
+      is_view_(true) {}
+
+std::shared_ptr<const InvertedIndex::Layout> InvertedIndex::SortedLayout(
+    Lists lists) {
+  std::vector<Lists::value_type*> order;
+  order.reserve(lists.size());
+  size_t blob_bytes = 0, total = 0;
+  for (auto& entry : lists) {
+    order.push_back(&entry);
+    blob_bytes += entry.first.size();
+    total += entry.second.size();
+  }
+  std::sort(order.begin(), order.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  auto layout = std::make_shared<Layout>();
+  layout->blob.reserve(blob_bytes);
+  layout->keyword_offsets.reserve(order.size() + 1);
+  layout->posting_offsets.reserve(order.size() + 1);
+  layout->postings.reserve(total);
+  for (auto* entry : order) {
+    SortUnique(&entry->second);
+    layout->Append(entry->first, entry->second);
+  }
+  return layout;
+}
+
+void InvertedIndex::Adopt(std::shared_ptr<const Layout> layout) {
+  blob_ = layout->blob;
+  keyword_offsets_ = layout->keyword_offsets;
+  posting_offsets_ = layout->posting_offsets;
+  postings_ = layout->postings;
+  storage_ = std::move(layout);
+  is_view_ = false;
 }
 
 void InvertedIndex::Build(const Database& db) {
-  Detach();
-  postings_.clear();
+  Lists lists;
   for (const auto& name : db.table_names()) {
     if (!name.empty() && name[0] == '_') continue;  // system tables
     const Table* t = db.table(name);
@@ -50,151 +99,76 @@ void InvertedIndex::Build(const Database& db) {
       Rid rid{t->id(), r};
       for (size_t c : text_cols) {
         const Value& v = t->row(r).at(c);
-        if (!v.is_null()) AddText(v.AsString(), rid);
+        if (!v.is_null()) AddTokens(v.AsString(), rid, &lists);
       }
     }
   }
-  Finalize();
+  Adopt(SortedLayout(std::move(lists)));
 }
 
-void InvertedIndex::AddText(const std::string& text, Rid rid) {
-  Detach();
-  for (auto& tok : Tokenize(text)) {
-    postings_[tok].push_back(rid);
-  }
-  finalized_ = false;
+InvertedIndex InvertedIndex::FromTexts(
+    const std::vector<std::pair<std::string, Rid>>& texts) {
+  Lists lists;
+  for (const auto& [text, rid] : texts) AddTokens(text, rid, &lists);
+  InvertedIndex index;
+  index.Adopt(SortedLayout(std::move(lists)));
+  return index;
 }
 
-void InvertedIndex::PatchPostings(const std::string& keyword,
-                                  std::vector<Rid> add,
-                                  std::vector<Rid> remove) {
-  Detach();
-  Finalize();  // patching assumes (and preserves) sorted postings
-  std::sort(add.begin(), add.end());
-  add.erase(std::unique(add.begin(), add.end()), add.end());
-  std::sort(remove.begin(), remove.end());
-  remove.erase(std::unique(remove.begin(), remove.end()), remove.end());
-
-  auto entry = postings_.find(keyword);
-  const std::vector<Rid> empty;
-  const std::vector<Rid>& list = entry != postings_.end() ? entry->second
-                                                          : empty;
-  std::vector<Rid> kept;
-  kept.reserve(list.size());
-  std::set_difference(list.begin(), list.end(), remove.begin(), remove.end(),
-                      std::back_inserter(kept));
-  std::vector<Rid> merged;
-  merged.reserve(kept.size() + add.size());
-  std::set_union(kept.begin(), kept.end(), add.begin(), add.end(),
-                 std::back_inserter(merged));
-  if (merged.empty()) {
-    if (entry != postings_.end()) postings_.erase(entry);
-  } else if (entry != postings_.end()) {
-    entry->second = std::move(merged);
-  } else {
-    postings_.emplace(keyword, std::move(merged));
+void InvertedIndex::PatchPostings(const Patch& patch) {
+  auto layout = std::make_shared<Layout>();
+  layout->blob.reserve(blob_.size());
+  layout->keyword_offsets.reserve(keyword_offsets_.size() + patch.size());
+  layout->posting_offsets.reserve(posting_offsets_.size() + patch.size());
+  layout->postings.reserve(postings_.size());
+  const size_t n = num_keywords();
+  size_t i = 0;
+  std::vector<Rid> add, remove, kept, merged;
+  for (const auto& [kw, p] : patch) {
+    for (; i < n && keyword(i) < kw; ++i) {
+      layout->Append(keyword(i), postings(i));
+    }
+    std::span<const Rid> base;
+    if (i < n && keyword(i) == kw) base = postings(i++);
+    add = p.add;
+    SortUnique(&add);
+    remove = p.remove;
+    SortUnique(&remove);
+    kept.clear();
+    std::set_difference(base.begin(), base.end(), remove.begin(), remove.end(),
+                        std::back_inserter(kept));
+    merged.clear();
+    std::set_union(kept.begin(), kept.end(), add.begin(), add.end(),
+                   std::back_inserter(merged));
+    if (!merged.empty()) layout->Append(kw, merged);
   }
+  for (; i < n; ++i) layout->Append(keyword(i), postings(i));
+  Adopt(std::move(layout));
 }
 
-void InvertedIndex::Finalize() const {
-  if (finalized_) return;
-  for (auto& [kw, list] : postings_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
-  finalized_ = true;
+size_t InvertedIndex::LowerBound(std::string_view target) const {
+  const auto ids = std::views::iota(size_t{0}, num_keywords());
+  const auto it = std::ranges::partition_point(
+      ids, [&](size_t i) { return keyword(i) < target; });
+  return static_cast<size_t>(it - ids.begin());
 }
 
-std::span<const Rid> InvertedIndex::Lookup(const std::string& keyword) const {
-  if (arena_) {
-    auto it = views_.find(NormalizeKeyword(keyword));
-    if (it == views_.end()) return {};
-    return it->second;
-  }
-  Finalize();
-  auto it = postings_.find(NormalizeKeyword(keyword));
-  if (it == postings_.end()) return {};
-  return it->second;
+std::span<const Rid> InvertedIndex::Lookup(std::string_view raw) const {
+  const std::string kw = NormalizeKeyword(raw);
+  const size_t i = LowerBound(kw);
+  if (i == num_keywords() || keyword(i) != kw) return {};
+  return postings(i);
 }
 
 std::vector<std::string> InvertedIndex::KeywordsWithPrefix(
-    const std::string& prefix) const {
-  std::string p = NormalizeKeyword(prefix);
+    std::string_view prefix) const {
+  const std::string p = NormalizeKeyword(prefix);
   std::vector<std::string> out;
-  if (arena_) {
-    for (const auto& [kw, _] : views_) {
-      if (StartsWith(kw, p)) out.push_back(kw);
-    }
-  } else {
-    for (const auto& [kw, _] : postings_) {
-      if (StartsWith(kw, p)) out.push_back(kw);
-    }
+  for (size_t i = LowerBound(p);
+       i < num_keywords() && keyword(i).starts_with(p); ++i) {
+    out.emplace_back(keyword(i));
   }
-  std::sort(out.begin(), out.end());
   return out;
-}
-
-std::vector<std::string> InvertedIndex::AllKeywords() const {
-  std::vector<std::string> out;
-  out.reserve(num_keywords());
-  if (arena_) {
-    for (const auto& [kw, _] : views_) out.push_back(kw);
-  } else {
-    for (const auto& [kw, _] : postings_) out.push_back(kw);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-size_t InvertedIndex::num_postings() const {
-  size_t n = 0;
-  if (arena_) {
-    for (const auto& [_, span] : views_) n += span.size();
-  } else {
-    for (const auto& [_, list] : postings_) n += list.size();
-  }
-  return n;
-}
-
-Status InvertedIndex::Save(const std::string& path) const {
-  Finalize();
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot write '" + path + "'");
-  // Sorted for determinism.
-  for (const auto& kw : AllKeywords()) {
-    out << kw << '\t';
-    const auto list = Lookup(kw);
-    for (size_t i = 0; i < list.size(); ++i) {
-      if (i) out << ',';
-      out << list[i].Pack();
-    }
-    out << '\n';
-  }
-  return Status::OK();
-}
-
-Status InvertedIndex::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot read '" + path + "'");
-  Detach();
-  postings_.clear();
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    size_t tab = line.find('\t');
-    if (tab == std::string::npos) {
-      return Status::Corruption("malformed index line: " + line);
-    }
-    std::string kw = line.substr(0, tab);
-    auto& list = postings_[kw];
-    for (const auto& part : Split(line.substr(tab + 1), ',')) {
-      if (part.empty()) continue;
-      list.push_back(Rid::Unpack(std::strtoull(part.c_str(), nullptr, 10)));
-    }
-  }
-  finalized_ = false;
-  Finalize();
-  return Status::OK();
 }
 
 }  // namespace banks

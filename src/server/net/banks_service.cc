@@ -375,6 +375,8 @@ void BanksService::HandleStats(const HttpRequest& request,
   AppendKeyValue(&out, "misses", cache.misses, &first);
   AppendKeyValue(&out, "invalidations", cache.invalidations, &first);
   AppendKeyValue(&out, "resolution_hits", cache.resolution_hits, &first);
+  AppendKeyValue(&out, "resolution_invalidations",
+                 cache.resolution_invalidations, &first);
   AppendKeyValue(&out, "coalesced", cache.coalesced, &first);
   AppendKeyValue(&out, "evictions", cache.evictions, &first);
   AppendKeyValue(&out, "entries", cache.entries, &first);

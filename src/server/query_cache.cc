@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/hash.h"
+#include "util/string_util.h"
 
 namespace banks::server {
 namespace {
@@ -283,14 +284,15 @@ std::vector<KeywordMatch> QueryCache::ResolveThrough(
           entry.epoch == epoch &&
           (entry.pending == pending ||
            (entry.pending < pending &&
-            ResolutionStillValid(*entry.resolution, epoch, entry.pending,
-                                 pending)));
+            ResolutionStillValid(*entry.resolution, term, match, epoch,
+                                 entry.pending)));
       if (valid) {
         counters.resolution_hits.fetch_add(1, std::memory_order_relaxed);
         shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru);
         return entry.resolution->matches;
       }
-      counters.invalidations.fetch_add(1, std::memory_order_relaxed);
+      counters.resolution_invalidations.fetch_add(1,
+                                                  std::memory_order_relaxed);
       if (entry.epoch != epoch || entry.pending < pending) {
         shard.bytes -= entry.bytes;
         shard.lru.erase(entry.lru);
@@ -406,8 +408,9 @@ void QueryCache::InsertLocked(Shard& shard, Counters& counters,
 }
 
 bool QueryCache::ResolutionStillValid(const CachedResolution& r,
-                                      uint64_t epoch, uint64_t entry_pending,
-                                      uint64_t pending) {
+                                      const QueryTerm& term,
+                                      const MatchOptions& match,
+                                      uint64_t epoch, uint64_t entry_pending) {
   if (r.numeric) return false;  // live column reads; no provenance tokens
   util::MutexLock lock(&journal_mu_);
   // The journal proves absence only for the epoch it is bound to, and
@@ -425,7 +428,22 @@ bool QueryCache::ResolutionStillValid(const CachedResolution& r,
       return false;
     }
   }
-  (void)pending;  // validity is "untouched since entry_pending"
+  if (match.approx.enable) {
+    // A token journaled since may have entered the delta vocabulary the
+    // expansion ranks: any token it could have admitted makes the entry
+    // stale, whatever rank it would have taken.
+    const ApproxMatchOptions& approx = match.approx;
+    const std::string& t = term.keyword;
+    for (const auto& [token, touched_at] : touched_tokens_) {
+      if (touched_at <= entry_pending) continue;
+      if (token == t ||
+          BoundedEditDistance(t, token, approx.max_edit_distance) <=
+              approx.max_edit_distance ||
+          (approx.allow_prefix && StartsWith(token, t))) {
+        return false;
+      }
+    }
+  }
   return true;
 }
 
@@ -481,6 +499,8 @@ QueryCacheStats QueryCache::stats() const {
     out.resolution_hits += c.resolution_hits.load(std::memory_order_relaxed);
     out.resolution_misses +=
         c.resolution_misses.load(std::memory_order_relaxed);
+    out.resolution_invalidations +=
+        c.resolution_invalidations.load(std::memory_order_relaxed);
     out.evictions += c.evictions.load(std::memory_order_relaxed);
     out.insertions += c.insertions.load(std::memory_order_relaxed);
     out.purged += c.purged.load(std::memory_order_relaxed);

@@ -18,12 +18,14 @@
 //
 //   resolution entries ("R|...")
 //       One term's keyword→node-set resolution plus its provenance: the
-//       expanded index tokens (approx expansion only sees the base
-//       vocabulary, so the token list is epoch-static), the metadata-
-//       matched table ids, and a numeric flag. Valid across *later*
-//       mid-epoch deltas of the same epoch when the per-epoch mutation
-//       journal proves none of the provenance tokens/tables were touched
-//       after the entry was stored. Numeric resolutions read live column
+//       expanded index tokens, the metadata-matched table ids, and a
+//       numeric flag. Valid across *later* mid-epoch deltas of the same
+//       epoch when the per-epoch mutation journal proves that none of the
+//       provenance tokens/tables was touched after the entry was stored
+//       and — since approx expansion also sees the delta vocabulary — that
+//       no token journaled since could have joined the expansion: none
+//       within max_edit_distance of the term, none extending it when
+//       prefix matching is on. Numeric resolutions read live column
 //       values and never revalidate across deltas.
 //
 // Invalidation is driven by the RefreezeCoordinator (the only writer):
@@ -64,14 +66,16 @@ namespace banks::server {
 struct FlightState;  // query_cache.cc: one in-flight coalesced computation
 
 /// Aggregated cache counters (one snapshot; see PoolStats for the serving
-/// view). Probes are classified exclusively: a hit, a miss (no entry), or
-/// an invalidation (an entry existed but could not be proven valid).
+/// view). Answer probes and resolution probes are each classified
+/// exclusively: a hit, a miss (no entry), or an invalidation (an entry
+/// existed but could not be proven valid).
 struct QueryCacheStats {
   uint64_t hits = 0;               ///< answer-entry hits (prefilled sessions)
   uint64_t misses = 0;             ///< answer probes with no entry
-  uint64_t invalidations = 0;      ///< stale entries dropped on probe
+  uint64_t invalidations = 0;      ///< stale answer entries on probe
   uint64_t resolution_hits = 0;    ///< keyword-resolution reuse
   uint64_t resolution_misses = 0;  ///< resolution probes with no entry
+  uint64_t resolution_invalidations = 0;  ///< stale resolutions on probe
   uint64_t evictions = 0;          ///< LRU-by-bytes evictions
   uint64_t insertions = 0;         ///< entries admitted
   uint64_t purged = 0;             ///< dead-epoch entries purged at refreeze
@@ -93,7 +97,7 @@ struct CachedAnswers {
 /// One term's resolution plus the provenance the journal validates.
 struct CachedResolution {
   std::vector<KeywordMatch> matches;
-  std::vector<std::string> tokens;  ///< expanded index tokens (epoch-static)
+  std::vector<std::string> tokens;  ///< expanded index tokens
   std::vector<uint32_t> tables;     ///< metadata-matched table ids
   bool numeric = false;             ///< live column reads; never revalidates
 };
@@ -213,6 +217,7 @@ class QueryCache {
     std::atomic<uint64_t> invalidations{0};
     std::atomic<uint64_t> resolution_hits{0};
     std::atomic<uint64_t> resolution_misses{0};
+    std::atomic<uint64_t> resolution_invalidations{0};
     std::atomic<uint64_t> evictions{0};
     std::atomic<uint64_t> insertions{0};
     std::atomic<uint64_t> purged{0};
@@ -221,10 +226,12 @@ class QueryCache {
   Shard& shard_for(const std::string& key);
   Counters& counters_for(const std::string& key);
 
-  /// True iff a resolution entry stored at `entry_pending` is provably
-  /// exact at `pending` of the same `epoch`.
-  bool ResolutionStillValid(const CachedResolution& r, uint64_t epoch,
-                            uint64_t entry_pending, uint64_t pending);
+  /// True iff the resolution `r` of `term` under `match`, stored at
+  /// `entry_pending`, is provably exact at any later pending count of the
+  /// same `epoch`.
+  bool ResolutionStillValid(const CachedResolution& r, const QueryTerm& term,
+                            const MatchOptions& match, uint64_t epoch,
+                            uint64_t entry_pending);
 
   void InsertLocked(Shard& shard, Counters& counters, const std::string& key,
                     Entry entry) BANKS_REQUIRES(shard.mu);

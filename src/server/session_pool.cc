@@ -275,6 +275,7 @@ PoolStats SessionPool::stats() const {
   snapshot.cache_misses = cache.misses;
   snapshot.cache_invalidations = cache.invalidations;
   snapshot.cache_resolution_hits = cache.resolution_hits;
+  snapshot.cache_resolution_invalidations = cache.resolution_invalidations;
   snapshot.cache_coalesced = cache.coalesced;
   snapshot.snapshot_epoch = engine_->snapshot_epoch();
   snapshot.snapshot_bytes = engine_->snapshot_bytes();

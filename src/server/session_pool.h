@@ -123,8 +123,9 @@ struct PoolStats {
   // at stats() time; all zero when the cache is disabled.
   uint64_t cache_hits = 0;             ///< answer-entry hits (prefilled)
   uint64_t cache_misses = 0;           ///< answer probes with no entry
-  uint64_t cache_invalidations = 0;    ///< stale entries dropped on probe
+  uint64_t cache_invalidations = 0;    ///< stale answer entries on probe
   uint64_t cache_resolution_hits = 0;  ///< keyword-resolution reuse
+  uint64_t cache_resolution_invalidations = 0;  ///< stale resolutions
   uint64_t cache_coalesced = 0;  ///< concurrent misses joined onto one run
 
   // Snapshot persistence gauges (src/snapshot/), sampled from the engine:

@@ -63,9 +63,9 @@ struct OpenedSnapshot {
   uint64_t file_bytes = 0;
   /// Bytes of hot arrays served directly from the mapping.
   uint64_t mapped_bytes = 0;
-  /// Bytes copied into owned memory (keyword strings, the rid->node hash,
-  /// metadata records) — bookkeeping the reader must rebuild anyway. The
-  /// CSR and posting arrays never contribute here.
+  /// Bytes copied into owned memory (the rid->node map, metadata
+  /// records) — bookkeeping the reader must rebuild anyway. The CSR and
+  /// inverted-index arrays never contribute here.
   uint64_t copied_bytes = 0;
   /// Fingerprint recorded by the writer (0 if none).
   uint64_t db_fingerprint = 0;

@@ -4,9 +4,9 @@
 // Validation order: stat/map -> header (magic, version, endianness, size)
 // -> section table (bounds, alignment, kinds, table checksum) -> per-section
 // checksums (optional) -> structural cross-checks (counts vs sizes,
-// monotonic offset arrays). Only after all of that are spans handed to the
-// view-backed structures, so a corrupt file fails with a clean Status and
-// can never index out of the mapping.
+// monotonic offset arrays, sorted keywords). Only after all of that are
+// spans handed to the view-backed structures, so a corrupt file fails with
+// a clean Status and can never index out of the mapping.
 //
 // This file owns the only mmap/munmap calls in the tree outside tests
 // (tools/banks_lint.py, snapshot-io-confinement).
@@ -20,6 +20,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -105,6 +106,25 @@ bool OffsetsValid32(std::span<const uint32_t> offsets, uint64_t total) {
   }
   for (size_t i = 1; i < offsets.size(); ++i) {
     if (offsets[i] < offsets[i - 1]) return false;
+  }
+  return true;
+}
+
+/// The keyword section is what InvertedIndex::Lookup binary-searches:
+/// non-empty keywords in strictly ascending order, each with at least one
+/// posting. Offsets must already be known in bounds (OffsetsValid).
+bool KeywordsValid(std::string_view blob, std::span<const uint64_t> offsets,
+                   std::span<const uint64_t> posting_offsets) {
+  std::string_view prev;
+  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+    if (offsets[i + 1] == offsets[i] ||
+        posting_offsets[i + 1] == posting_offsets[i]) {
+      return false;
+    }
+    const std::string_view kw =
+        blob.substr(offsets[i], offsets[i + 1] - offsets[i]);
+    if (i > 0 && !(prev < kw)) return false;
+    prev = kw;
   }
   return true;
 }
@@ -260,6 +280,12 @@ Result<OpenedSnapshot> OpenSnapshot(const std::string& path,
       !OffsetsValid(numeric_offsets, meta.num_numeric_entries)) {
     return Status::Corruption("snapshot: inconsistent offset arrays");
   }
+  const std::string_view keyword_blob(sections[kKeywordBlob].data,
+                                      sections[kKeywordBlob].size);
+  if (!KeywordsValid(keyword_blob, keyword_offsets, posting_offsets)) {
+    return Status::Corruption(
+        "snapshot: keywords empty, unsorted or without postings");
+  }
   for (size_t i = 1; i < numeric_values.size(); ++i) {
     if (!(numeric_values[i - 1] < numeric_values[i])) {
       return Status::Corruption("snapshot: numeric values not ascending");
@@ -285,22 +311,9 @@ Result<OpenedSnapshot> OpenSnapshot(const std::string& path,
   }
   state->dg = std::move(dg);
 
-  // Inverted index: keyword strings are owned (the hash map must be built
-  // anyway), posting lists stay mapped.
-  const char* kw_blob = sections[kKeywordBlob].data;
-  std::vector<std::pair<std::string, std::span<const Rid>>> entries;
-  entries.reserve(meta.num_keywords);
-  for (uint64_t i = 0; i < meta.num_keywords; ++i) {
-    std::string kw(kw_blob + keyword_offsets[i],
-                   keyword_offsets[i + 1] - keyword_offsets[i]);
-    entries.emplace_back(
-        std::move(kw),
-        postings.subspan(posting_offsets[i],
-                         posting_offsets[i + 1] - posting_offsets[i]));
-  }
-  auto index = std::make_shared<InvertedIndex>();
-  index->AttachViews(std::move(entries), arena);
-  state->index = std::move(index);
+  // Inverted index: the file's sections are its layout, adopted in place.
+  state->index = std::make_shared<InvertedIndex>(
+      keyword_blob, keyword_offsets, posting_offsets, postings, arena);
 
   // Metadata index: schema-sized; parsed and rebuilt owning.
   std::vector<std::pair<std::string, std::vector<MetadataMatch>>> meta_entries;
@@ -337,15 +350,15 @@ Result<OpenedSnapshot> OpenSnapshot(const std::string& path,
   opened.file_bytes = file_size;
   opened.mapped_bytes = sections[kOutOffsets].size + sections[kInOffsets].size +
                         sections[kOutEdges].size + sections[kInEdges].size +
-                        sections[kNodeWeights].size + sections[kPostings].size +
-                        sections[kNumericValues].size +
-                        sections[kNumericOffsets].size +
-                        sections[kNumericRids].size;
-  opened.copied_bytes = sections[kNodeRids].size +
+                        sections[kNodeWeights].size +
                         sections[kKeywordBlob].size +
                         sections[kKeywordOffsets].size +
                         sections[kPostingOffsets].size +
-                        sections[kMetadataBlob].size;
+                        sections[kPostings].size +
+                        sections[kNumericValues].size +
+                        sections[kNumericOffsets].size +
+                        sections[kNumericRids].size;
+  opened.copied_bytes = sections[kNodeRids].size + sections[kMetadataBlob].size;
   opened.db_fingerprint = meta.db_fingerprint;
   opened.state = std::move(state);
   return opened;

@@ -11,7 +11,9 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "snapshot/snapshot.h"
@@ -98,24 +100,12 @@ Result<SnapshotWriteStats> WriteSnapshot(const LiveState& state,
   const std::vector<GraphEdge> out_edges = stage_edges(g.out_edges());
   const std::vector<GraphEdge> in_edges = stage_edges(g.in_edges());
 
-  // Inverted index: sorted keywords -> blob + offsets + flat postings.
-  const std::vector<std::string> keywords = state.index->AllKeywords();
-  std::string keyword_blob;
-  std::vector<uint64_t> keyword_offsets;
-  std::vector<uint64_t> posting_offsets;
-  std::vector<Rid> postings;
-  keyword_offsets.reserve(keywords.size() + 1);
-  posting_offsets.reserve(keywords.size() + 1);
-  postings.reserve(state.index->num_postings());
-  keyword_offsets.push_back(0);
-  posting_offsets.push_back(0);
-  for (const auto& kw : keywords) {
-    keyword_blob.append(kw);
-    keyword_offsets.push_back(keyword_blob.size());
-    const auto list = state.index->Lookup(kw);
-    postings.insert(postings.end(), list.begin(), list.end());
-    posting_offsets.push_back(postings.size());
-  }
+  // Inverted index: its layout is the file's — blob, offsets, postings.
+  const InvertedIndex& index = *state.index;
+  const std::string_view keyword_blob = index.keyword_blob();
+  const std::span<const uint64_t> keyword_offsets = index.keyword_offsets();
+  const std::span<const uint64_t> posting_offsets = index.posting_offsets();
+  const std::span<const Rid> postings = index.all_postings();
 
   // Metadata index: tiny length-prefixed records, sorted token order.
   std::string metadata_blob;
@@ -148,7 +138,7 @@ Result<SnapshotWriteStats> WriteSnapshot(const LiveState& state,
   SnapshotMeta meta{};
   meta.num_nodes = node_weights.size();
   meta.num_edges = out_edges.size();
-  meta.num_keywords = keywords.size();
+  meta.num_keywords = index.num_keywords();
   meta.num_postings = postings.size();
   meta.num_numeric_values = numeric_values.size();
   meta.num_numeric_entries = numeric_rids.size();
@@ -166,11 +156,9 @@ Result<SnapshotWriteStats> WriteSnapshot(const LiveState& state,
       {kNodeWeights, node_weights.data(), node_weights.size_bytes()},
       {kNodeRids, node_rid.data(), node_rid.size() * sizeof(Rid)},
       {kKeywordBlob, keyword_blob.data(), keyword_blob.size()},
-      {kKeywordOffsets, keyword_offsets.data(),
-       keyword_offsets.size() * sizeof(uint64_t)},
-      {kPostingOffsets, posting_offsets.data(),
-       posting_offsets.size() * sizeof(uint64_t)},
-      {kPostings, postings.data(), postings.size() * sizeof(Rid)},
+      {kKeywordOffsets, keyword_offsets.data(), keyword_offsets.size_bytes()},
+      {kPostingOffsets, posting_offsets.data(), posting_offsets.size_bytes()},
+      {kPostings, postings.data(), postings.size_bytes()},
       {kMetadataBlob, metadata_blob.data(), metadata_blob.size()},
       {kNumericValues, numeric_values.data(),
        numeric_values.size() * sizeof(double)},

@@ -19,7 +19,9 @@ void InvertedIndexDelta::AddTuple(const Database& db, Rid rid) {
 
 void InvertedIndexDelta::AddText(const std::string& text, Rid rid) {
   for (auto& tok : Tokenize(text)) {
-    auto& list = postings_[tok];
+    auto [it, fresh] = postings_.try_emplace(tok);
+    if (fresh) keywords_.push_back(std::move(tok));
+    auto& list = it->second;
     if (std::find(list.begin(), list.end(), rid) == list.end()) {
       list.push_back(rid);
     }
@@ -30,12 +32,6 @@ const std::vector<Rid>* InvertedIndexDelta::Lookup(
     const std::string& keyword) const {
   auto it = postings_.find(keyword);
   return it == postings_.end() ? nullptr : &it->second;
-}
-
-size_t InvertedIndexDelta::num_postings() const {
-  size_t n = 0;
-  for (const auto& [_, list] : postings_) n += list.size();
-  return n;
 }
 
 }  // namespace banks

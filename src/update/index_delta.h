@@ -39,12 +39,13 @@ class InvertedIndexDelta {
   /// rid appears at most once per keyword.
   const std::vector<Rid>* Lookup(const std::string& keyword) const;
 
-  bool empty() const { return postings_.empty(); }
-  size_t num_keywords() const { return postings_.size(); }
-  size_t num_postings() const;
+  /// The delta vocabulary, in first-insertion order: approximate matching
+  /// expands over it next to the base index's (core/query.cc).
+  const std::vector<std::string>& keywords() const { return keywords_; }
 
  private:
   std::unordered_map<std::string, std::vector<Rid>> postings_;
+  std::vector<std::string> keywords_;
 };
 
 /// Shared immutable view of one published delta-index generation.

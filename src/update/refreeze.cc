@@ -539,15 +539,16 @@ LiveStateSnapshot RefreezeCoordinator::MergeRebuild(uint64_t epoch,
       *db_, *base_, next->links, gdelta, links_->in_by_relation,
       options_->graph, &next->in_by_relation));
 
-  // 5. Index patches: copy the epoch-start immutable indexes and apply the
-  //    per-row old/new differences — no re-tokenization of the base.
-  //    Differences accumulate per keyword / per value first so each
-  //    posting list is rewritten in ONE merge pass, however many rows of
-  //    the burst share the keyword.
+  // 5. Index patches: apply the per-row old/new differences to the
+  //    epoch-start immutable indexes — no re-tokenization of the base.
+  //    Differences accumulate per keyword / per value first: the inverted
+  //    index merges its sorted keyword patch into a fresh layout in one
+  //    pass, and each numeric list is rewritten in ONE merge pass, however
+  //    many rows of the burst share the value.
   auto index = std::make_shared<InvertedIndex>(*current.index);
   auto numeric = std::make_shared<NumericIndex>(*current.numeric);
   using RidPatch = std::pair<std::vector<Rid>, std::vector<Rid>>;  // add, del
-  std::unordered_map<std::string, RidPatch> token_patch;
+  InvertedIndex::Patch token_patch;
   std::unordered_map<double, RidPatch> value_patch;
   for (const auto& [pack, c] : changes) {
     if (c.inserted && c.deleted) continue;  // born and died this epoch
@@ -583,10 +584,10 @@ LiveStateSnapshot RefreezeCoordinator::MergeRebuild(uint64_t epoch,
       }
     }
     for (const auto& tok : new_tokens) {
-      if (old_tokens.count(tok) == 0) token_patch[tok].first.push_back(rid);
+      if (old_tokens.count(tok) == 0) token_patch[tok].add.push_back(rid);
     }
     for (const auto& tok : old_tokens) {
-      if (new_tokens.count(tok) == 0) token_patch[tok].second.push_back(rid);
+      if (new_tokens.count(tok) == 0) token_patch[tok].remove.push_back(rid);
     }
     for (const double v : new_nums) {
       if (old_nums.count(v) == 0) value_patch[v].first.push_back(rid);
@@ -595,9 +596,7 @@ LiveStateSnapshot RefreezeCoordinator::MergeRebuild(uint64_t epoch,
       if (new_nums.count(v) == 0) value_patch[v].second.push_back(rid);
     }
   }
-  for (auto& [tok, patch] : token_patch) {
-    index->PatchPostings(tok, std::move(patch.first), std::move(patch.second));
-  }
+  index->PatchPostings(token_patch);
   for (auto& [v, patch] : value_patch) {
     numeric->PatchValue(v, std::move(patch.first), std::move(patch.second));
   }

@@ -73,13 +73,19 @@ bool InvertedIndexesIdentical(const InvertedIndex& a, const InvertedIndex& b,
                 " vs " + std::to_string(b.num_keywords()));
     return false;
   }
-  // Equal counts + every a-keyword present with identical postings in b
-  // implies full map equality.
-  for (const auto& kw : a.AllKeywords()) {
-    const std::span<const Rid> pa = a.Lookup(kw);
-    const std::span<const Rid> pb = b.Lookup(kw);
+  // Equal sorted layouts, compared keyword by keyword for the report.
+  for (size_t i = 0; i < a.num_keywords(); ++i) {
+    if (a.keyword(i) != b.keyword(i)) {
+      SetDiff(diff, "keyword #" + std::to_string(i) + " differs: '" +
+                        std::string(a.keyword(i)) + "' vs '" +
+                        std::string(b.keyword(i)) + "'");
+      return false;
+    }
+    const std::span<const Rid> pa = a.postings(i);
+    const std::span<const Rid> pb = b.postings(i);
     if (!std::equal(pa.begin(), pa.end(), pb.begin(), pb.end())) {
-      SetDiff(diff, "postings differ for keyword '" + kw + "'");
+      SetDiff(diff, "postings differ for keyword '" +
+                        std::string(a.keyword(i)) + "'");
       return false;
     }
   }

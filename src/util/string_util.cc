@@ -67,7 +67,17 @@ int BoundedEditDistance(std::string_view a, std::string_view b, int limit) {
   const int n = static_cast<int>(a.size());
   const int m = static_cast<int>(b.size());
   if (std::abs(n - m) > limit) return limit + 1;
-  std::vector<int> prev(m + 1), cur(m + 1);
+  // Two DP rows; keywords are short, so they usually fit on the stack.
+  constexpr int kInlineRow = 32;
+  int inline_rows[2][kInlineRow] = {};
+  std::vector<int> heap_rows;
+  int* prev = inline_rows[0];
+  int* cur = inline_rows[1];
+  if (m + 1 > kInlineRow) {
+    heap_rows.resize(2 * static_cast<size_t>(m + 1));
+    prev = heap_rows.data();
+    cur = prev + m + 1;
+  }
   for (int j = 0; j <= m; ++j) prev[j] = j;
   for (int i = 1; i <= n; ++i) {
     cur[0] = i;

@@ -6,10 +6,9 @@ namespace banks {
 namespace {
 
 InvertedIndex MakeIndex() {
-  InvertedIndex idx;
-  idx.AddText("levy levi level leventhal sarawagi", Rid{0, 0});
-  idx.AddText("transaction transactions", Rid{0, 1});
-  return idx;
+  return InvertedIndex::FromTexts(
+      {{"levy levi level leventhal sarawagi", Rid{0, 0}},
+       {"transaction transactions", Rid{0, 1}}});
 }
 
 TEST(ApproxMatchTest, DisabledReturnsExactOnly) {

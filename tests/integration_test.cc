@@ -1,5 +1,5 @@
 // End-to-end integration tests: the §5.1 anecdotes as assertions, plus
-// cross-module pipelines (CSV round trip -> same answers; index save/load;
+// cross-module pipelines (CSV round trip -> same answers; index snapshot;
 // search results rendered and browsed).
 #include <gtest/gtest.h>
 
@@ -9,7 +9,9 @@
 
 #include "browse/browser.h"
 #include "eval/workload.h"
+#include "snapshot/snapshot.h"
 #include "storage/csv.h"
+#include "update/state_compare.h"
 
 namespace banks {
 namespace {
@@ -242,21 +244,28 @@ TEST_F(PipelineTest, SearchResultsBrowsable) {
 }
 
 TEST_F(PipelineTest, IndexPersistenceMatchesRebuild) {
+  // The index persists as its own layout inside the snapshot file; the
+  // reopened (mapped) index must equal a fresh build.
   DblpConfig config;
   config.num_authors = 40;
   config.num_papers = 60;
   DblpDataset ds = GenerateDblp(config);
   InvertedIndex built;
   built.Build(ds.db);
+  BanksEngine engine(std::move(ds.db));
   std::filesystem::create_directories(dir_);
-  auto path = (dir_ / "keywords.idx").string();
-  ASSERT_TRUE(built.Save(path).ok());
-  InvertedIndex loaded;
-  ASSERT_TRUE(loaded.Load(path).ok());
-  EXPECT_EQ(loaded.AllKeywords(), built.AllKeywords());
+  const std::string path = (dir_ / "epoch.banks").string();
+  ASSERT_TRUE(engine.SaveSnapshot(path).ok());
+  auto opened = snapshot::OpenSnapshot(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const InvertedIndex& loaded = *opened.value().state->index;
+  EXPECT_TRUE(loaded.is_view());
+  std::string diff;
+  EXPECT_TRUE(InvertedIndexesIdentical(loaded, built, &diff)) << diff;
   for (const auto& kw : {"soumen", "sunita", "transaction"}) {
     const auto lhs = loaded.Lookup(kw);
     const auto rhs = built.Lookup(kw);
+    EXPECT_FALSE(rhs.empty()) << kw;
     EXPECT_TRUE(std::equal(lhs.begin(), lhs.end(), rhs.begin(), rhs.end()))
         << kw;
   }

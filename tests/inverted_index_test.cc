@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
-
 namespace banks {
 namespace {
 
@@ -92,38 +89,20 @@ TEST(InvertedIndexTest, Counts) {
   EXPECT_GE(idx.num_postings(), idx.num_keywords());
 }
 
-TEST(InvertedIndexTest, SaveLoadRoundTrip) {
-  Database db = MakeDb();
-  InvertedIndex idx;
-  idx.Build(db);
-  auto path = std::filesystem::temp_directory_path() /
-              ("banks_idx_" + std::to_string(::getpid()) + ".idx");
-  ASSERT_TRUE(idx.Save(path.string()).ok());
-
-  InvertedIndex idx2;
-  ASSERT_TRUE(idx2.Load(path.string()).ok());
-  EXPECT_EQ(idx2.num_keywords(), idx.num_keywords());
-  EXPECT_EQ(idx2.num_postings(), idx.num_postings());
-  {
-    const auto lhs = idx2.Lookup("search");
-    const auto rhs = idx.Lookup("search");
-    EXPECT_TRUE(std::equal(lhs.begin(), lhs.end(), rhs.begin(), rhs.end()));
-  }
-  EXPECT_EQ(idx2.AllKeywords(), idx.AllKeywords());
-  std::filesystem::remove(path);
-}
-
-TEST(InvertedIndexTest, LoadMissingFileFails) {
-  InvertedIndex idx;
-  EXPECT_FALSE(idx.Load("/nonexistent/banks.idx").ok());
-}
-
 TEST(InvertedIndexTest, AddTextIncremental) {
-  InvertedIndex idx;
-  idx.AddText("hello world", Rid{0, 0});
-  idx.AddText("hello again", Rid{0, 1});
+  // Incremental maintenance goes through the merge-refreeze patch: a new
+  // layout with the added rows, while a copy taken before keeps the old.
+  InvertedIndex idx = InvertedIndex::FromTexts({{"hello world", Rid{0, 0}}});
+  const InvertedIndex before = idx;
+  InvertedIndex::Patch patch;
+  patch["hello"].add = {Rid{0, 1}};
+  patch["again"].add = {Rid{0, 1}};
+  idx.PatchPostings(patch);
   EXPECT_EQ(idx.Lookup("hello").size(), 2u);
   EXPECT_EQ(idx.Lookup("world").size(), 1u);
+  EXPECT_EQ(idx.Lookup("again").size(), 1u);
+  EXPECT_EQ(before.Lookup("hello").size(), 1u);
+  EXPECT_TRUE(before.Lookup("again").empty());
 }
 
 }  // namespace

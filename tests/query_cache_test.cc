@@ -147,7 +147,8 @@ TEST(QueryCacheUnit, ResolutionJournalValidation) {
   // Touching one of the entry's own tokens invalidates it.
   cache.OnMutationsApplied(0, 2, {"soumen"}, {});
   cache.ResolveThrough(resolver, soumen, match, 0, 2);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().resolution_invalidations, 1u);
+  EXPECT_EQ(cache.stats().invalidations, 0u);  // answer probes only
   // ...and the re-resolved entry (stored at pending 2) hits again.
   cache.ResolveThrough(resolver, soumen, match, 0, 2);
   EXPECT_EQ(cache.stats().resolution_hits, 3u);
@@ -160,9 +161,9 @@ TEST(QueryCacheUnit, ResolutionJournalValidation) {
   const Table* paper_table = engine.db().table(kPaperTable);
   ASSERT_NE(paper_table, nullptr);
   cache.OnMutationsApplied(0, 3, {"freshtoken"}, {paper_table->id()});
-  const uint64_t before = cache.stats().invalidations;
+  const uint64_t before = cache.stats().resolution_invalidations;
   cache.ResolveThrough(resolver, paper, match, 0, 3);
-  EXPECT_EQ(cache.stats().invalidations, before + 1);
+  EXPECT_EQ(cache.stats().resolution_invalidations, before + 1);
 }
 
 TEST(QueryCacheUnit, NumericResolutionsNeverRevalidate) {
@@ -190,7 +191,7 @@ TEST(QueryCacheUnit, NumericResolutionsNeverRevalidate) {
   // the journal can never prove them and they always re-resolve.
   cache.OnMutationsApplied(0, 1, {"whatever"}, {});
   cache.ResolveThrough(resolver, numeric, {}, 0, 1);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().resolution_invalidations, 1u);
 }
 
 TEST(QueryCacheUnit, LruEvictsByBytes) {
@@ -403,7 +404,11 @@ TEST(QueryCacheEngine, PoolStatsSurfaceCacheCounters) {
 // identical dataset receive the identical randomized mutation stream
 // (insert/delete/update bursts, auto-refreeze every 25 mutations, >= 3
 // epochs) with queries interleaved; every query must return byte-identical
-// answers. Runtime counters then prove the cache actually engaged.
+// answers. Queries alternate between exact and approximate matching, and
+// the writes include near misses of the query terms (within edit distance
+// 1, or extending them), which approximate expansion picks up from the
+// delta vocabulary before any refreeze. Runtime counters then prove the
+// cache actually engaged.
 TEST(QueryCacheProperty, CacheOnEqualsCacheOffAcrossEpochs) {
   DblpConfig config;
   config.num_authors = 80;
@@ -428,6 +433,13 @@ TEST(QueryCacheProperty, CacheOnEqualsCacheOffAcrossEpochs) {
       "soumen", "sunita", "gray",   "transaction", "mohan",
       "fresh",  "corpus", "result", "seltzer",     "recovery",
   };
+  // Near misses of the query terms (edit distance 1, or extending them):
+  // absent from the base vocabulary, so before a refreeze only approximate
+  // expansion over the delta vocabulary can match them.
+  const std::vector<std::string> near_misses = {
+      "soumem", "sunitas", "grayx", "transactiom", "mohanx", "seltzr",
+      "stonebrakers",
+  };
 
   std::mt19937 rng(1234);
   std::vector<Rid> live_rids;  // identical on both engines by construction
@@ -436,9 +448,11 @@ TEST(QueryCacheProperty, CacheOnEqualsCacheOffAcrossEpochs) {
   for (int step = 0; step < 140; ++step) {
     if (rng() % 10 < 7) {
       const std::string& q = queries[rng() % queries.size()];
+      MatchOptions match;
+      match.approx.enable = rng() % 2 == 0;
       const QueryCacheStats pre = cached.query_cache_stats();
-      auto a = cached.Search({.text = q});
-      auto b = plain.Search({.text = q});
+      auto a = cached.Search({.text = q, .match = match});
+      auto b = plain.Search({.text = q, .match = match});
       ASSERT_TRUE(a.ok() && b.ok());
       const QueryCacheStats post = cached.query_cache_stats();
       ASSERT_EQ(TreeKeys(a.value().answers), TreeKeys(b.value().answers))
@@ -448,7 +462,9 @@ TEST(QueryCacheProperty, CacheOnEqualsCacheOffAcrossEpochs) {
           << post.misses - pre.misses << " inval+"
           << post.invalidations - pre.invalidations << " rhits+"
           << post.resolution_hits - pre.resolution_hits << " rmiss+"
-          << post.resolution_misses - pre.resolution_misses << ")";
+          << post.resolution_misses - pre.resolution_misses << " rinval+"
+          << post.resolution_invalidations - pre.resolution_invalidations
+          << ", approx " << match.approx.enable << ")";
       ASSERT_EQ(a.value().keyword_nodes, b.value().keyword_nodes);
       ASSERT_EQ(a.value().dropped_terms, b.value().dropped_terms);
     } else {
@@ -458,8 +474,11 @@ TEST(QueryCacheProperty, CacheOnEqualsCacheOffAcrossEpochs) {
         const int kind = live_rids.empty() ? 0 : rng() % 4;
         if (kind <= 1) {
           const std::string pid = "P_prop" + std::to_string(inserted++);
-          std::string title = vocab[rng() % vocab.size()] + " " +
-                              vocab[rng() % vocab.size()];
+          std::string title =
+              rng() % 2 == 0 ? near_misses[rng() % near_misses.size()]
+                             : vocab[rng() % vocab.size()];
+          title += " ";
+          title += vocab[rng() % vocab.size()];
           batch.push_back(
               Mutation::Insert(kPaperTable, Tuple({Value(pid), Value(title)})));
         } else if (kind == 2) {
@@ -502,6 +521,7 @@ TEST(QueryCacheProperty, CacheOnEqualsCacheOffAcrossEpochs) {
   EXPECT_GT(s.invalidations, 0u)
       << "no entry was ever invalidated — test is vacuous";
   EXPECT_GT(s.resolution_hits, 0u);
+  EXPECT_GT(s.resolution_invalidations, 0u);
   EXPECT_GT(s.purged, 0u);
 }
 

@@ -11,6 +11,7 @@
 // inside the walked source trees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -178,7 +179,7 @@ TEST(SnapshotRoundTrip, LoadedStateIsMappedNotCopied) {
   ASSERT_TRUE(opened.ok());
   const LiveState& st = *opened.value().state;
   // The zero-copy contract: every hot array reads straight from the
-  // mapping. The small lookup structures (rid map, keyword strings) are
+  // mapping. The small lookup structures (rid map, metadata records) are
   // the only copies, and their byte count stays far below the mapped one.
   EXPECT_TRUE(st.dg->graph.is_view());
   EXPECT_TRUE(st.index->is_view());
@@ -299,8 +300,12 @@ TEST(SnapshotEngine, RefreezeRotatesTheEpochFile) {
 class SnapshotCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
+    // File names are per test: ctest runs these tests as concurrent
+    // processes, and a file rewritten under another process's mapping
+    // faults that process.
+    name_ = ::testing::UnitTest::GetInstance()->current_test_info()->name();
     BanksEngine engine(SmallDb());
-    path_ = TempPath("corrupt_base.banks");
+    path_ = TempPath(name_ + "_base.banks");
     ASSERT_TRUE(engine.SaveSnapshot(path_).ok());
     bytes_ = ReadFile(path_);
     ASSERT_GE(bytes_.size(), sizeof(SnapshotHeader));
@@ -308,12 +313,13 @@ class SnapshotCorruption : public ::testing::Test {
 
   /// Writes a mutated copy and expects OpenSnapshot to fail cleanly.
   void ExpectRejected(const std::string& mutated, const std::string& what) {
-    const std::string path = TempPath("corrupt_case.banks");
+    const std::string path = TempPath(name_ + "_case.banks");
     WriteFile(path, mutated);
     auto opened = OpenSnapshot(path);
     EXPECT_FALSE(opened.ok()) << what;
   }
 
+  std::string name_;
   std::string path_;
   std::string bytes_;
 };
@@ -385,6 +391,85 @@ TEST_F(SnapshotCorruption, FlippedByteInEverySectionIsRejected) {
         static_cast<char>(mutated[entry.offset + entry.size / 2] ^ 0xFF);
     ExpectRejected(mutated, "flipped byte in section kind " +
                                 std::to_string(entry.kind));
+  }
+}
+
+/// Recomputes every section checksum and the table checksum of a mutated
+/// file, so only the semantic checks can reject it.
+void Rechecksum(std::string* file) {
+  SnapshotHeader header;
+  std::memcpy(&header, file->data(), sizeof(header));
+  std::vector<SectionEntry> table(header.section_count);
+  std::memcpy(table.data(), file->data() + sizeof(header),
+              table.size() * sizeof(SectionEntry));
+  for (SectionEntry& entry : table) {
+    entry.checksum =
+        snapshot::SnapshotChecksum(file->data() + entry.offset, entry.size);
+  }
+  std::memcpy(file->data() + sizeof(header), table.data(),
+              table.size() * sizeof(SectionEntry));
+  header.table_checksum = snapshot::SnapshotChecksum(
+      file->data() + sizeof(header), table.size() * sizeof(SectionEntry));
+  std::memcpy(file->data(), &header, sizeof(header));
+}
+
+TEST_F(SnapshotCorruption, UnsortedOrEmptyKeywordsAreRejected) {
+  // Lookup binary-searches the mapped keyword blob, so a re-checksummed
+  // file whose keywords are out of order would silently miss keywords.
+  SnapshotHeader header;
+  std::memcpy(&header, bytes_.data(), sizeof(header));
+  std::vector<SectionEntry> table(header.section_count);
+  std::memcpy(table.data(), bytes_.data() + sizeof(header),
+              table.size() * sizeof(SectionEntry));
+  const SectionEntry& blob = table[snapshot::kKeywordBlob - 1];
+  const SectionEntry& offsets_entry = table[snapshot::kKeywordOffsets - 1];
+  ASSERT_EQ(blob.kind, snapshot::kKeywordBlob);
+  ASSERT_EQ(offsets_entry.kind, snapshot::kKeywordOffsets);
+  std::vector<uint64_t> offsets(offsets_entry.size / sizeof(uint64_t));
+  std::memcpy(offsets.data(), bytes_.data() + offsets_entry.offset,
+              offsets_entry.size);
+
+  // Two adjacent keywords of equal length: swapping them keeps every
+  // offset valid but breaks the order.
+  size_t i = 0;
+  while (i + 2 < offsets.size() &&
+         offsets[i + 1] - offsets[i] != offsets[i + 2] - offsets[i + 1]) {
+    ++i;
+  }
+  ASSERT_LT(i + 2, offsets.size()) << "no two adjacent equal-length keywords";
+  const size_t len = offsets[i + 1] - offsets[i];
+  {
+    std::string mutated = bytes_;
+    char* first = mutated.data() + blob.offset + offsets[i];
+    std::swap_ranges(first, first + len, first + len);
+    Rechecksum(&mutated);
+    const std::string path = TempPath("unsorted_keywords.banks");
+    WriteFile(path, mutated);
+    auto opened = OpenSnapshot(path);
+    ASSERT_FALSE(opened.ok()) << "swapped keywords";
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+        << opened.status().ToString();
+  }
+  {
+    // An empty keyword: keyword i's bytes move to keyword i + 1.
+    std::string mutated = bytes_;
+    const uint64_t emptied = offsets[i];
+    std::memcpy(mutated.data() + offsets_entry.offset +
+                    (i + 1) * sizeof(uint64_t),
+                &emptied, sizeof(emptied));
+    Rechecksum(&mutated);
+    const std::string path = TempPath("empty_keyword.banks");
+    WriteFile(path, mutated);
+    auto opened = OpenSnapshot(path);
+    ASSERT_FALSE(opened.ok()) << "empty keyword";
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+        << opened.status().ToString();
+  }
+  {
+    // The unmutated file re-checksums to itself and still opens.
+    std::string same = bytes_;
+    Rechecksum(&same);
+    EXPECT_EQ(same, bytes_);
   }
 }
 

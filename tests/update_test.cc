@@ -55,6 +55,54 @@ TEST(LiveUpdateTest, InsertIsSearchableBeforeRefreeze) {
   EXPECT_NE(engine.Render(answer).find("Zzyzxology"), std::string::npos);
 }
 
+// With approx matching on (banks_server's default), a keyword that exists
+// only in post-freeze rows must still be its own exact hit, even when a
+// base keyword lies within edit distance 1 ("transactiom" vs
+// "transaction"), and a resolution cached before the insert must not hide
+// it.
+TEST(LiveUpdateTest, DeltaOnlyKeywordWithABaseNeighbourExpandsToItself) {
+  for (const bool cache : {false, true}) {
+    SCOPED_TRACE(cache ? "cache on" : "cache off");
+    DblpDataset ds = SmallDblp();
+    BanksOptions options;
+    options.match.approx.enable = true;
+    options.cache.enabled = cache;
+    BanksEngine engine(std::move(ds.db), options);
+    ASSERT_FALSE(engine.inverted_index().Lookup("transaction").empty());
+    ASSERT_TRUE(engine.inverted_index().Lookup("transactiom").empty());
+    auto has_fresh_paper = [&](const std::vector<ConnectionTree>& answers) {
+      for (const auto& t : answers) {
+        if (engine.RootLabel(t) == "Paper(P_zq)") return true;
+      }
+      return false;
+    };
+    // Resolved (and, with the cache on, stored) before the insert.
+    auto before = engine.Search({.text = "transactiom"});
+    ASSERT_TRUE(before.ok());
+    EXPECT_FALSE(has_fresh_paper(before.value().answers));
+
+    ASSERT_TRUE(engine
+                    .InsertTuple(kPaperTable, Tuple({Value("P_zq"),
+                                                     Value("Transactiom Zq")}))
+                    .ok());
+    auto fresh = engine.Search({.text = "transactiom"});
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_TRUE(has_fresh_paper(fresh.value().answers))
+        << "found before a refreeze";
+
+    ASSERT_TRUE(engine.Refreeze().ok());
+    auto refrozen = engine.Search({.text = "transactiom"});
+    ASSERT_TRUE(refrozen.ok());
+    EXPECT_TRUE(has_fresh_paper(refrozen.value().answers))
+        << "found after a refreeze";
+    // The same tuples match before and after: one vocabulary either way.
+    ASSERT_EQ(fresh.value().keyword_nodes.size(), 1u);
+    ASSERT_EQ(refrozen.value().keyword_nodes.size(), 1u);
+    EXPECT_EQ(fresh.value().keyword_nodes[0].size(),
+              refrozen.value().keyword_nodes[0].size());
+  }
+}
+
 TEST(LiveUpdateTest, InsertJoinsExistingDataThroughDeltaEdges) {
   DblpDataset ds = SmallDblp();
   const std::string soumen = ds.planted.soumen;
