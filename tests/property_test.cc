@@ -133,12 +133,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SearchInvariantsTest,
 // Property 2: for every scoring configuration, relevance stays in [0,1] and
 // the emitted stream is one of the generated trees (sanity across all 8
 // parameter combinations of §2.3).
+//
+// ctest names each case after its printed parameter. gtest's default printer
+// dumps the raw struct bytes, including the uninitialized padding after the
+// three bools, so some names changed with every process start. Each case now
+// carries a fixed name: the one it has always been listed under, so test
+// lists stay comparable across builds.
 struct ScoringCase {
   bool edge_log;
   bool node_log;
   bool multiplicative;
   double lambda;
+  const char* name;
 };
+
+void PrintTo(const ScoringCase& c, std::ostream* os) { *os << c.name; }
 
 class ScoringSweepTest : public ::testing::TestWithParam<ScoringCase> {};
 
@@ -164,16 +173,37 @@ TEST_P(ScoringSweepTest, RelevanceBoundedAndOrdered) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, ScoringSweepTest,
-    ::testing::Values(ScoringCase{false, false, false, 0.2},
-                      ScoringCase{false, false, true, 0.2},
-                      ScoringCase{false, true, false, 0.2},
-                      ScoringCase{false, true, true, 0.2},
-                      ScoringCase{true, false, false, 0.2},
-                      ScoringCase{true, false, true, 0.2},
-                      ScoringCase{true, true, false, 0.2},
-                      ScoringCase{true, true, true, 0.2},
-                      ScoringCase{true, false, false, 0.0},
-                      ScoringCase{true, false, false, 1.0}));
+    ::testing::Values(
+        ScoringCase{false, false, false, 0.2,
+                    "16-byte object <00-00 00-D8 7C-55 00-00 9A-99 99-99 "
+                    "99-99 C9-3F>"},
+        ScoringCase{false, false, true, 0.2,
+                    "16-byte object <00-00 01-D8 7C-55 00-00 9A-99 99-99 "
+                    "99-99 C9-3F>"},
+        ScoringCase{false, true, false, 0.2,
+                    "16-byte object <00-01 00-00 00-00 00-00 9A-99 99-99 "
+                    "99-99 C9-3F>"},
+        ScoringCase{false, true, true, 0.2,
+                    "16-byte object <00-01 01-D8 00-00 00-00 9A-99 99-99 "
+                    "99-99 C9-3F>"},
+        ScoringCase{true, false, false, 0.2,
+                    "16-byte object <01-00 00-00 00-00 00-00 9A-99 99-99 "
+                    "99-99 C9-3F>"},
+        ScoringCase{true, false, true, 0.2,
+                    "16-byte object <01-00 01-00 00-00 00-00 9A-99 99-99 "
+                    "99-99 C9-3F>"},
+        ScoringCase{true, true, false, 0.2,
+                    "16-byte object <01-01 00-00 00-00 00-00 9A-99 99-99 "
+                    "99-99 C9-3F>"},
+        ScoringCase{true, true, true, 0.2,
+                    "16-byte object <01-01 01-D8 00-00 00-00 9A-99 99-99 "
+                    "99-99 C9-3F>"},
+        ScoringCase{true, false, false, 0.0,
+                    "16-byte object <01-00 00-00 00-00 00-00 00-00 00-00 "
+                    "00-00 00-00>"},
+        ScoringCase{true, false, false, 1.0,
+                    "16-byte object <01-00 00-D8 00-00 00-00 00-00 00-00 "
+                    "00-00 F0-3F>"}));
 
 // ---------------------------------------------------------------------------
 // Property 3: with pure proximity scoring (lambda = 0, linear edges), the
