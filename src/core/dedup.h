@@ -21,9 +21,6 @@ class DedupTable {
   bool MarkGenerated(const std::string& signature) {
     return generated_.insert(signature).second;
   }
-  bool WasGenerated(const std::string& signature) const {
-    return generated_.count(signature) > 0;
-  }
 
   /// Marks a signature as having been emitted to the user.
   void MarkOutput(const std::string& signature) {
@@ -33,7 +30,6 @@ class DedupTable {
     return output_.count(signature) > 0;
   }
 
-  size_t num_generated() const { return generated_.size(); }
   size_t num_output() const { return output_.size(); }
 
  private:

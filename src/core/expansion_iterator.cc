@@ -4,6 +4,12 @@
 
 namespace banks {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
 ExpansionIterator::ExpansionIterator(const FrozenGraph& graph, NodeId source,
                                      ExpandDirection direction,
                                      double distance_cap,
@@ -31,11 +37,46 @@ ExpansionIterator::ExpansionIterator(const FrozenGraph& graph,
   Advance();
 }
 
+size_t ExpansionIterator::Probe(NodeId node) const {
+  // Fibonacci hashing: the top bits of node * 2^64/phi spread the dense
+  // NodeId space over the table.
+  const size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>((uint64_t{node} * 0x9e3779b97f4a7c15ull) >>
+                                 shift_);
+  while (slots_[i].node != node && slots_[i].node != kInvalidNode) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+ExpansionIterator::Slot& ExpansionIterator::FindOrInsert(NodeId node) {
+  size_t i = Probe(node);
+  if (slots_[i].node == kInvalidNode) {
+    if (2 * (num_reached_ + 1) > slots_.size()) {
+      Grow();
+      i = Probe(node);
+    }
+    slots_[i].node = node;
+    ++num_reached_;
+  }
+  return slots_[i];
+}
+
+void ExpansionIterator::Grow() {
+  std::vector<Slot> old(2 * slots_.size());
+  old.swap(slots_);
+  --shift_;
+  for (const Slot& s : old) {
+    if (s.node != kInvalidNode) slots_[Probe(s.node)] = s;
+  }
+}
+
 void ExpansionIterator::Relax(double dist, NodeId node, NodeId parent) {
-  auto it = tentative_.find(node);
-  if (it != tentative_.end() && it->second <= dist) return;  // not better
-  tentative_[node] = dist;
-  frontier_.push(HeapEntry{dist, node, parent});
+  Slot& s = FindOrInsert(node);
+  if (s.settled || s.dist <= dist) return;  // not better
+  s.dist = dist;
+  s.parent = parent;
+  frontier_.push(HeapEntry{dist, node});
 }
 
 void ExpansionIterator::Advance() {
@@ -43,7 +84,7 @@ void ExpansionIterator::Advance() {
   while (!frontier_.empty()) {
     HeapEntry top = frontier_.top();
     frontier_.pop();
-    if (settled_dist_.count(top.node)) continue;  // stale entry
+    if (SlotOf(top.node).settled) continue;  // stale entry
     if (top.dist > cap_) {
       // Everything else is at least this far; exhaust.
       while (!frontier_.empty()) frontier_.pop();
@@ -60,11 +101,11 @@ void ExpansionIterator::Advance() {
 // Forward: relax outgoing edges symmetrically. With a live-update overlay,
 // base CSR edges may be masked by tombstones and the overlay contributes
 // side-list edges; without one the loop is the frozen-only fast path.
+// Relax() itself skips settled nodes.
 void ExpansionIterator::RelaxNeighbours(NodeId node, double dist) {
   const bool forward = direction_ == ExpandDirection::kForward;
   if (delta_ == nullptr) {
     for (const auto& e : graph_->Edges(node, forward)) {
-      if (settled_dist_.count(e.to)) continue;
       Relax(dist + e.weight, e.to, node);
     }
     return;
@@ -72,7 +113,7 @@ void ExpansionIterator::RelaxNeighbours(NodeId node, double dist) {
   if (node < delta_->base_nodes()) {
     const bool check_edges = delta_->HasEdgeTombstones();
     for (const auto& e : graph_->Edges(node, forward)) {
-      if (settled_dist_.count(e.to) || delta_->NodeDead(e.to)) continue;
+      if (delta_->NodeDead(e.to)) continue;
       // The CSR stores the neighbour as e.to in both spans; the directed
       // graph edge behind an in-span entry runs e.to -> node.
       if (check_edges && (forward ? delta_->EdgeDead(node, e.to)
@@ -84,16 +125,16 @@ void ExpansionIterator::RelaxNeighbours(NodeId node, double dist) {
   }
   if (const auto* extra = delta_->ExtraEdges(node, forward)) {
     for (const auto& e : *extra) {
-      if (settled_dist_.count(e.to) || delta_->NodeDead(e.to)) continue;
+      if (delta_->NodeDead(e.to)) continue;
       Relax(dist + e.weight, e.to, node);
     }
   }
 }
 
 ExpansionIterator::Visit ExpansionIterator::Next() {
-  HeapEntry cur = pending_;
-  settled_dist_.emplace(cur.node, cur.dist);
-  if (cur.parent != kInvalidNode) parent_.emplace(cur.node, cur.parent);
+  const HeapEntry cur = pending_;
+  slots_[Probe(cur.node)].settled = true;
+  ++num_settled_;
   RelaxNeighbours(cur.node, cur.dist);
   Advance();
   return Visit{cur.node, cur.dist};
@@ -101,27 +142,25 @@ ExpansionIterator::Visit ExpansionIterator::Next() {
 
 std::vector<NodeId> ExpansionIterator::PathToSource(NodeId node) const {
   std::vector<NodeId> path;
-  if (!settled_dist_.count(node)) return path;
-  NodeId cur = node;
-  path.push_back(cur);
-  for (auto it = parent_.find(cur); it != parent_.end();
-       it = parent_.find(cur)) {
-    cur = it->second;
-    path.push_back(cur);
+  const Slot* s = &SlotOf(node);
+  if (!s->settled) return path;
+  path.push_back(node);
+  // A settled node's parent is settled too, so the chain ends at a source.
+  while (s->parent != kInvalidNode) {
+    path.push_back(s->parent);
+    s = &SlotOf(s->parent);
   }
   return path;
 }
 
 NodeId ExpansionIterator::ParentOf(NodeId node) const {
-  auto it = parent_.find(node);
-  return it == parent_.end() ? kInvalidNode : it->second;
+  const Slot& s = SlotOf(node);
+  return s.settled ? s.parent : kInvalidNode;
 }
 
 double ExpansionIterator::DistanceTo(NodeId node) const {
-  auto it = settled_dist_.find(node);
-  if (it == settled_dist_.end())
-    return std::numeric_limits<double>::infinity();
-  return it->second;
+  const Slot& s = SlotOf(node);
+  return s.settled ? s.dist : kInf;
 }
 
 }  // namespace banks

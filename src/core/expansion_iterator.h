@@ -13,10 +13,10 @@
 #ifndef BANKS_CORE_EXPANSION_ITERATOR_H_
 #define BANKS_CORE_EXPANSION_ITERATOR_H_
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/frozen_graph.h"
@@ -93,38 +93,57 @@ class ExpansionIterator {
   double DistanceTo(NodeId node) const;
 
   /// Number of settled nodes so far (for instrumentation/benchmarks).
-  size_t num_settled() const { return settled_dist_.size(); }
+  size_t num_settled() const { return num_settled_; }
 
  private:
   void Advance();  // pops the frontier until a fresh node or exhaustion
   void RelaxNeighbours(NodeId node, double dist);
+  void Relax(double dist, NodeId node, NodeId parent);
 
   struct HeapEntry {
     double dist;
     NodeId node;
-    NodeId parent;  // the already-settled node this relaxation came from
     bool operator>(const HeapEntry& o) const {
       // Tie-break on node id for determinism.
       return dist != o.dist ? dist > o.dist : node > o.node;
     }
   };
 
-  void Relax(double dist, NodeId node, NodeId parent);
+  // Every node the iterator has reached, in one open-addressing table
+  // (power-of-two capacity, linear probing, load at most 1/2): its best
+  // distance so far, the settled node that distance was relaxed from, and
+  // whether it has been output. A dense per-node array is no option: one
+  // query runs thousands of iterators over a graph of ~100K nodes.
+  struct Slot {
+    double dist = std::numeric_limits<double>::infinity();
+    NodeId node = kInvalidNode;    // kInvalidNode = empty slot
+    NodeId parent = kInvalidNode;  // toward the source; none for a source
+    bool settled = false;
+  };
+  static constexpr size_t kInitialSlots = 16;
+  // Index of `node`'s slot, or of the empty slot where it would go.
+  size_t Probe(NodeId node) const;
+  // `node`'s slot; an empty (unsettled, infinitely far) one if unreached.
+  const Slot& SlotOf(NodeId node) const { return slots_[Probe(node)]; }
+  // `node`'s slot, claimed if new (doubling the table past load 1/2).
+  Slot& FindOrInsert(NodeId node);
+  void Grow();
 
   const FrozenGraph* graph_;
   const DeltaGraph* delta_;  // null = frozen-only (zero-overhead) path
   NodeId source_;
   ExpandDirection direction_;
   double cap_;
+  // Non-improving relaxations are dropped instead of queued, keeping the
+  // frontier at O(reached nodes) instead of O(relaxed edges).
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                       std::greater<HeapEntry>>
       frontier_;
-  // Best distance pushed so far per unsettled node: non-improving
-  // relaxations are dropped instead of queued, keeping the frontier at
-  // O(reached nodes) instead of O(relaxed edges).
-  std::unordered_map<NodeId, double> tentative_;
-  std::unordered_map<NodeId, double> settled_dist_;
-  std::unordered_map<NodeId, NodeId> parent_;  // toward the source
+  std::vector<Slot> slots_ = std::vector<Slot>(kInitialSlots);
+  // 64 - log2(slots_.size()): Probe keeps the hash's top bits.
+  int shift_ = 64 - std::countr_zero(kInitialSlots);
+  size_t num_reached_ = 0;
+  size_t num_settled_ = 0;
   bool has_pending_ = false;
   HeapEntry pending_{};
 };

@@ -63,7 +63,12 @@ ExpansionSearchBase::ExpansionSearchBase(const DataGraph& dg,
       options_(std::move(options)),
       scorer_(std::make_unique<Scorer>(dg.graph, options_.scoring, delta)),
       output_heap_(options_.exhaustive ? SIZE_MAX / 2
-                                       : options_.output_heap_size) {}
+                                       : options_.output_heap_size) {
+  for (uint32_t t : options_.excluded_root_tables) {
+    if (t >= excluded_tables_.size()) excluded_tables_.resize(size_t{t} + 1);
+    excluded_tables_[t] = true;
+  }
+}
 
 std::vector<ConnectionTree> ExpansionSearchBase::Run(
     const std::vector<std::vector<NodeId>>& keyword_nodes) {
@@ -103,8 +108,9 @@ double ExpansionSearchBase::MatchRelevance(size_t term, NodeId node) const {
 }
 
 bool ExpansionSearchBase::RootExcluded(NodeId v) const {
-  if (options_.excluded_root_tables.empty()) return false;
-  return options_.excluded_root_tables.count(RidOf(v).table_id) > 0;
+  if (excluded_tables_.empty()) return false;
+  const uint32_t table = RidOf(v).table_id;
+  return table < excluded_tables_.size() && excluded_tables_[table];
 }
 
 void ExpansionSearchBase::Begin(
@@ -122,7 +128,7 @@ void ExpansionSearchBase::Begin(
   output_heap_ = OutputHeap(options_.exhaustive ? SIZE_MAX / 2
                                                 : options_.output_heap_size);
   iterators_.clear();
-  origin_terms_.clear();
+  origins_.clear();
   vertex_lists_.clear();
   probes_.clear();
   pending_probes_.clear();
@@ -200,10 +206,10 @@ void ExpansionSearchBase::Abort() {
   phase_ = RunPhase::kDone;
   frontier_heap_ = {};
   iterators_.clear();
+  origins_.clear();
   probes_.clear();
   pending_probes_.clear();
   vertex_lists_.clear();
-  origin_terms_.clear();
   forward_node_terms_.clear();
   output_heap_ = OutputHeap(1);
   AbortExecute();
@@ -283,28 +289,43 @@ void ExpansionSearchBase::PrepareExpansionLoop(
       if (bit & forward_term_mask_) {
         forward_node_terms_[s] |= bit;
       } else {
-        origin_terms_[s] |= bit;
+        origins_.push_back(Origin{s, bit});
       }
     }
   }
+  // Sorted by node with one entry per node, so an iterator's index orders
+  // the frontier heap's ties exactly as its origin NodeId would.
+  std::sort(origins_.begin(), origins_.end(),
+            [](const Origin& a, const Origin& b) { return a.node < b.node; });
+  size_t distinct = 0;
+  for (const Origin& o : origins_) {
+    if (distinct > 0 && origins_[distinct - 1].node == o.node) {
+      origins_[distinct - 1].term_mask |= o.term_mask;
+    } else {
+      origins_[distinct++] = o;
+    }
+  }
+  origins_.resize(distinct);
+
   const double max_w = delta_ != nullptr ? delta_->MaxNodeWeight()
                                          : dg_->graph.MaxNodeWeight();
-  for (const auto& [node, _] : origin_terms_) {
+  iterators_.reserve(origins_.size());
+  for (const Origin& o : origins_) {
     double initial = 0.0;
     if (options_.keyword_prestige_bias > 0 && max_w > 0) {
       initial = options_.keyword_prestige_bias *
-                (1.0 - NodeWeightOf(node) / max_w);
+                (1.0 - NodeWeightOf(o.node) / max_w);
     }
-    iterators_.emplace(node, std::make_unique<ExpansionIterator>(
-                                 dg_->graph, node, ExpandDirection::kBackward,
-                                 options_.distance_cap, initial, delta_));
+    iterators_.emplace_back(dg_->graph, o.node, ExpandDirection::kBackward,
+                            options_.distance_cap, initial, delta_);
   }
   stats_.num_iterators = iterators_.size();
 
-  for (auto& [node, it] : iterators_) {
-    if (it->HasNext()) {
-      frontier_heap_.push(
-          Frontier{it->PeekDistance(), kBackwardFrontier, node});
+  for (size_t i = 0; i < iterators_.size(); ++i) {
+    if (iterators_[i].HasNext()) {
+      frontier_heap_.push(Frontier{iterators_[i].PeekDistance(),
+                                   kBackwardFrontier,
+                                   static_cast<NodeId>(i)});
     }
   }
 }
@@ -317,13 +338,13 @@ bool ExpansionSearchBase::StepExpansionLoop() {
   Frontier top = frontier_heap_.top();
   frontier_heap_.pop();
   if (top.kind == kBackwardFrontier) {
-    ExpansionIterator* it = iterators_.at(top.id).get();
-    if (!it->HasNext()) return true;
-    ExpansionIterator::Visit visit = it->Next();
+    ExpansionIterator& it = iterators_[top.id];
+    if (!it.HasNext()) return true;
+    ExpansionIterator::Visit visit = it.Next();
     ++stats_.iterator_visits;
-    if (it->HasNext()) {
+    if (it.HasNext()) {
       frontier_heap_.push(
-          Frontier{it->PeekDistance(), kBackwardFrontier, top.id});
+          Frontier{it.PeekDistance(), kBackwardFrontier, top.id});
     }
     ProcessBackwardVisit(visit.node, top.id, num_terms_);
   } else {
@@ -349,7 +370,8 @@ bool ExpansionSearchBase::StepExpansionLoop() {
   return true;
 }
 
-void ExpansionSearchBase::ProcessBackwardVisit(NodeId v, NodeId origin,
+void ExpansionSearchBase::ProcessBackwardVisit(NodeId v,
+                                               size_t origin_index,
                                                size_t num_terms) {
   // Roots may be restricted (§2.1): skip excluded tables entirely — their
   // origin lists would only ever feed trees rooted there.
@@ -357,7 +379,7 @@ void ExpansionSearchBase::ProcessBackwardVisit(NodeId v, NodeId origin,
   VertexLists& lists = vertex_lists_[v];
   if (lists.per_term.empty()) lists.per_term.resize(num_terms);
 
-  const uint64_t mask = origin_terms_.at(origin);
+  const auto [origin, mask] = origins_[origin_index];
   for (size_t i = 0; i < num_terms; ++i) {
     if (!(mask & (uint64_t{1} << i))) continue;
     HandleArrival(v, origin, i, lists);
@@ -462,11 +484,13 @@ ConnectionTree ExpansionSearchBase::BuildTree(
     tree.leaf_relevance.push_back(MatchRelevance(i, leaves[i]));
   }
 
-  std::unordered_set<NodeId> in_tree{root};
-  std::unordered_set<NodeId> handled_leaves;
-  for (NodeId leaf : leaves) {
-    if (!handled_leaves.insert(leaf).second) continue;
-    AppendLeafPath(&tree, &in_tree, root, leaf);
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    // A node matching several terms contributes its path once.
+    if (std::find(leaves.begin(), leaves.begin() + i, leaves[i]) !=
+        leaves.begin() + i) {
+      continue;
+    }
+    AppendLeafPath(&tree, root, leaves[i]);
   }
   for (const auto& e : tree.edges) tree.tree_weight += e.weight;
   scorer_->ScoreInPlace(&tree);
@@ -474,33 +498,36 @@ ConnectionTree ExpansionSearchBase::BuildTree(
 }
 
 void ExpansionSearchBase::AppendChain(ConnectionTree* tree,
-                                      std::unordered_set<NodeId>* in_tree,
                                       const std::vector<NodeId>& chain,
                                       const ExpansionIterator& it) {
   for (size_t k = 0; k + 1 < chain.size(); ++k) {
     NodeId a = chain[k], b = chain[k + 1];
-    if (in_tree->count(b)) continue;  // first parent wins; stay a tree
+    // First parent wins; stay a tree. Answer trees have a handful of
+    // nodes, so a scan of the edges beats any set.
+    bool in_tree = b == tree->root;
+    for (const TreeEdge& e : tree->edges) in_tree |= e.to == b;
+    if (in_tree) continue;
     // The relaxed edge weight equals the distance change along the chain
     // (distances fall toward a backward iterator's source and rise away
     // from a forward one's).
     double w = std::abs(it.DistanceTo(b) - it.DistanceTo(a));
     tree->edges.push_back(TreeEdge{a, b, w});
-    in_tree->insert(b);
   }
 }
 
-void ExpansionSearchBase::AppendLeafPath(ConnectionTree* tree,
-                                         std::unordered_set<NodeId>* in_tree,
-                                         NodeId root, NodeId leaf) {
+void ExpansionSearchBase::AppendLeafPath(ConnectionTree* tree, NodeId root,
+                                         NodeId leaf) {
   // Preferred route: the leaf is a backward origin whose iterator settled
   // the root — read the path root ... leaf out of its parent chain (the
   // only route in the pure backward strategy).
-  auto iter_it = iterators_.find(leaf);
-  if (iter_it != iterators_.end()) {
-    const ExpansionIterator& it = *iter_it->second;
+  auto origin = std::lower_bound(
+      origins_.begin(), origins_.end(), leaf,
+      [](const Origin& o, NodeId node) { return o.node < node; });
+  if (origin != origins_.end() && origin->node == leaf) {
+    const ExpansionIterator& it = iterators_[origin - origins_.begin()];
     std::vector<NodeId> path = it.PathToSource(root);  // root ... leaf
     if (!path.empty()) {
-      AppendChain(tree, in_tree, path, it);
+      AppendChain(tree, path, it);
       return;
     }
   }
@@ -514,7 +541,7 @@ void ExpansionSearchBase::AppendLeafPath(ConnectionTree* tree,
   std::vector<NodeId> chain = fwd.PathToSource(leaf);  // leaf ... root
   assert(!chain.empty() && "probe must have settled the leaf");
   std::reverse(chain.begin(), chain.end());  // root ... leaf
-  AppendChain(tree, in_tree, chain, fwd);
+  AppendChain(tree, chain, fwd);
 }
 
 void ExpansionSearchBase::OfferTree(ConnectionTree tree) {
@@ -535,8 +562,6 @@ void ExpansionSearchBase::OfferTree(ConnectionTree tree) {
     }
     ++stats_.duplicates_discarded;
   }
-  dedup_.MarkGenerated(sig);
-
   auto overflow = output_heap_.Add(std::move(tree), sig);
   if (overflow.has_value()) {
     Emit(std::move(*overflow));

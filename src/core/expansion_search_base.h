@@ -348,7 +348,6 @@ class ExpansionSearchBase {
   /// Each edge weight is the relaxed weight, i.e. the distance change
   /// between consecutive settled nodes.
   static void AppendChain(ConnectionTree* tree,
-                          std::unordered_set<NodeId>* in_tree,
                           const std::vector<NodeId>& chain,
                           const ExpansionIterator& it);
 
@@ -357,9 +356,14 @@ class ExpansionSearchBase {
   SearchOptions options_;
   std::unique_ptr<Scorer> scorer_;
 
-  // Backward iterators by keyword (origin) node.
-  std::unordered_map<NodeId, std::unique_ptr<ExpansionIterator>> iterators_;
-  std::unordered_map<NodeId, uint64_t> origin_terms_;  // term bitmask
+  // Backward iterators, one per keyword (origin) node, sorted by origin;
+  // origins_[i] names iterators_[i]'s origin and the terms it matches.
+  struct Origin {
+    NodeId node;
+    uint64_t term_mask;
+  };
+  std::vector<ExpansionIterator> iterators_;
+  std::vector<Origin> origins_;
   // Per-term node match relevances (empty maps = all exact).
   std::vector<std::unordered_map<NodeId, double>> match_relevance_;
   std::unordered_map<NodeId, VertexLists> vertex_lists_;
@@ -383,7 +387,8 @@ class ExpansionSearchBase {
   void EndExpansion(bool ran_strategy);
   // False once the visit/deadline budget is exhausted (records why).
   bool ExpansionBudgetOk();
-  void ProcessBackwardVisit(NodeId v, NodeId origin, size_t num_terms);
+  void ProcessBackwardVisit(NodeId v, size_t origin_index,
+                            size_t num_terms);
   void ProcessForwardVisit(NodeId root, NodeId node, size_t num_terms);
   // Generates the new trees rooted at v contributed by `origin` arriving
   // for `term`, then records the arrival in v's origin lists.
@@ -394,11 +399,12 @@ class ExpansionSearchBase {
   ConnectionTree BuildTree(NodeId root, const std::vector<NodeId>& leaves);
   // Appends the path root -> ... -> leaf to the tree, skipping nodes
   // already present (first parent wins; the result stays a tree).
-  void AppendLeafPath(ConnectionTree* tree,
-                      std::unordered_set<NodeId>* in_tree, NodeId root,
-                      NodeId leaf);
+  void AppendLeafPath(ConnectionTree* tree, NodeId root, NodeId leaf);
   void MaybeSpawnProbe(NodeId v, const VertexLists& lists, size_t num_terms);
 
+  // §2.1 root exclusions as a bitmap over table ids (ids are dense: the
+  // Database numbers its tables in creation order).
+  std::vector<bool> excluded_tables_;
   bool keep_match_relevance_ = false;  // scored Begin -> node-list handoff
   uint64_t forward_term_mask_ = 0;
   std::unordered_map<NodeId, uint64_t> forward_node_terms_;  // node -> mask
@@ -414,7 +420,7 @@ class ExpansionSearchBase {
   struct Frontier {
     double dist;
     uint8_t kind;
-    NodeId id;  // iterator source node, or probe root
+    NodeId id;  // index into iterators_ (= origin order), or probe root
     bool operator>(const Frontier& o) const {
       if (dist != o.dist) return dist > o.dist;
       if (kind != o.kind) return kind > o.kind;

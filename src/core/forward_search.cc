@@ -1,7 +1,6 @@
 #include "core/forward_search.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace banks {
 
@@ -78,13 +77,12 @@ bool ForwardSearch::ExecuteStep() {
   ConnectionTree tree;
   tree.root = root;
   tree.leaf_for_term.assign(n_terms_, kInvalidNode);
-  std::unordered_set<NodeId> in_tree{root};
 
   {
     // rev parents point from farther nodes toward the pivot sources, so
     // the chain root ... nearest-pivot-source is the tree's pivot limb.
     std::vector<NodeId> chain = rev_->PathToSource(root);
-    AppendChain(&tree, &in_tree, chain, *rev_);
+    AppendChain(&tree, chain, *rev_);
     tree.leaf_for_term[pivot_] = chain.back();
   }
   for (size_t i = 0; i < n_terms_; ++i) {
@@ -93,7 +91,7 @@ bool ForwardSearch::ExecuteStep() {
     // forward path root ... leaf.
     std::vector<NodeId> chain = fwd.PathToSource(leaf_of_term[i]);
     std::reverse(chain.begin(), chain.end());
-    AppendChain(&tree, &in_tree, chain, fwd);
+    AppendChain(&tree, chain, fwd);
     tree.leaf_for_term[i] = leaf_of_term[i];
   }
   for (const auto& e : tree.edges) tree.tree_weight += e.weight;

@@ -66,6 +66,10 @@ bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
 int BoundedEditDistance(std::string_view a, std::string_view b, int limit) {
   const int n = static_cast<int>(a.size());
   const int m = static_cast<int>(b.size());
+  // The distance never exceeds the longer length, so a larger limit
+  // changes no result; clamping keeps `limit + 1` representable when a
+  // caller passes INT_MAX.
+  limit = std::min(limit, std::max(n, m));
   if (std::abs(n - m) > limit) return limit + 1;
   // Two DP rows; keywords are short, so they usually fit on the stack.
   constexpr int kInlineRow = 32;

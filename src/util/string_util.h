@@ -27,7 +27,9 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 
 /// Levenshtein edit distance with early exit; returns limit+1 when the
-/// distance exceeds `limit` (used by approximate keyword matching).
+/// distance exceeds `limit` (used by approximate keyword matching). Any
+/// `limit` is accepted: one of at least max(|a|, |b|) yields the exact
+/// distance (also for INT_MAX), and a negative one yields limit+1.
 int BoundedEditDistance(std::string_view a, std::string_view b, int limit);
 
 }  // namespace banks

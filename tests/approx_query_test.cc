@@ -1,6 +1,8 @@
 // Tests for approx(<n>) numeric terms and node-relevance scoring (§7).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/banks.h"
 
 namespace banks {
@@ -144,6 +146,31 @@ TEST(ApproxQueryTest, FuzzyKeywordRelevanceDampens) {
   EXPECT_EQ(engine.RootLabel(typo.value().answers[0]), "Paper(p88)");
   EXPECT_GT(exact.value().answers[0].relevance,
             typo.value().answers[0].relevance);
+}
+
+TEST(ApproxQueryTest, UnboundedEditDistanceIsSafe) {
+  // max_edit_distance = INT_MAX reaches the edit-distance bound unclamped
+  // from keyword resolution and from the query cache's staleness check
+  // (the second search probes the entry across a pending insert).
+  BanksOptions options;
+  options.match.approx.enable = true;
+  options.match.approx.max_edit_distance = std::numeric_limits<int>::max();
+  options.cache.enabled = true;
+  BanksEngine engine(MakeDb(), options);
+  auto typo = engine.Search({.text = "foundatons"});
+  ASSERT_TRUE(typo.ok());
+  ASSERT_FALSE(typo.value().answers.empty());
+  EXPECT_EQ(engine.RootLabel(typo.value().answers[0]), "Paper(p88)");
+  EXPECT_GT(typo.value().answers[0].relevance, 0.0);
+
+  ASSERT_TRUE(engine
+                  .InsertTuple("Paper", Tuple({Value("p99"),
+                                               Value("Foundation Stones"),
+                                               Value(int64_t{1999})}))
+                  .ok());
+  auto again = engine.Search({.text = "foundatons"});
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(again.value().answers.empty());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace banks {
 namespace {
 
@@ -72,6 +74,19 @@ TEST(EditDistanceTest, BoundExceeded) {
   EXPECT_EQ(BoundedEditDistance("kitten", "sitting", 1), 2);
   // Length difference alone exceeds the bound.
   EXPECT_EQ(BoundedEditDistance("a", "abcdef", 2), 3);
+}
+
+TEST(EditDistanceTest, ExtremeLimits) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  // Limits past every possible distance give the exact distance, with no
+  // overflow computing limit + 1.
+  EXPECT_EQ(BoundedEditDistance("kitten", "sitting", kMax), 3);
+  EXPECT_EQ(BoundedEditDistance("kitten", "sitting", kMax - 1), 3);
+  EXPECT_EQ(BoundedEditDistance("", "abc", kMax), 3);
+  EXPECT_EQ(BoundedEditDistance("", "", kMax), 0);
+  // A negative limit is exceeded by every distance, even 0.
+  EXPECT_EQ(BoundedEditDistance("abc", "abc", -1), 0);
+  EXPECT_EQ(BoundedEditDistance("abc", "abd", -5), -4);
 }
 
 TEST(EditDistanceTest, Symmetry) {
