@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "storage/database.h"
 #include "update/delta_graph.h"

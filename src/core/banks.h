@@ -252,32 +252,6 @@ class BanksEngine {
   /// in identical order to streaming the same QueryRequest.
   Result<QueryResult> Search(const QueryRequest& request) const;
 
-  // ----------------------------------------------------- deprecated shims
-  // Transitional text-only wrappers kept for one release. Everything the
-  // deleted Search/SearchAuthorized/OpenSession/OpenSessionAuthorized/
-  // SubmitQuery overload set could express is a QueryRequest field now:
-  //   Search(text, opts)                → Search({.text=t, .search=opts})
-  //   SearchAuthorized(text, policy)    → Search({.text=t, .auth=policy})
-  //   OpenSession(text, opts, budget)   → OpenSession({.text=t,
-  //                                         .search=opts, .budget=budget})
-  // Constrained templates rather than plain string overloads so a braced
-  // QueryRequest initializer (no type to deduce) can never collide with
-  // them in overload resolution; string-ish arguments still land here and
-  // still draw the deprecation warning.
-  template <typename S, typename = std::enable_if_t<
-                            std::is_convertible_v<const S&, std::string>>>
-  [[deprecated("use Search(QueryRequest) — e.g. Search({.text = q})")]]
-  Result<QueryResult> Search(const S& query_text) const {
-    return Search(QueryRequest{.text = query_text});
-  }
-  template <typename S, typename = std::enable_if_t<
-                            std::is_convertible_v<const S&, std::string>>>
-  [[deprecated(
-      "use OpenSession(QueryRequest) — e.g. OpenSession({.text = q})")]]
-  Result<QuerySession> OpenSession(const S& query_text) const {
-    return OpenSession(QueryRequest{.text = query_text});
-  }
-
   /// Figure-2 style rendering of one answer against the *current* state.
   /// NodeIds are per-epoch: a tree produced before a refreeze renders
   /// correctly through its session instead —

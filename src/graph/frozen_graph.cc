@@ -5,28 +5,6 @@
 
 namespace banks {
 
-FrozenGraph::FrozenGraph(const Graph& g) {
-  const size_t n = g.num_nodes();
-  node_weight_.resize(n);
-  out_offsets_.assign(n + 1, 0);
-  in_offsets_.assign(n + 1, 0);
-  out_edges_.reserve(g.num_edges());
-  in_edges_.reserve(g.num_edges());
-
-  for (NodeId v = 0; v < n; ++v) {
-    node_weight_[v] = g.node_weight(v);
-    max_node_weight_ = std::max(max_node_weight_, node_weight_[v]);
-    for (const auto& e : g.OutEdges(v)) {
-      out_edges_.push_back(e);
-      min_edge_weight_ = std::min(min_edge_weight_, e.weight);
-    }
-    out_offsets_[v + 1] = static_cast<uint32_t>(out_edges_.size());
-    for (const auto& e : g.InEdges(v)) in_edges_.push_back(e);
-    in_offsets_[v + 1] = static_cast<uint32_t>(in_edges_.size());
-  }
-  assert(out_edges_.size() == in_edges_.size());
-}
-
 FrozenGraph::FrozenGraph(std::vector<uint32_t> out_offsets,
                          std::vector<GraphEdge> out_edges,
                          std::vector<uint32_t> in_offsets,

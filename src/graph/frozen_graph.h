@@ -1,16 +1,17 @@
-// Immutable CSR (compressed sparse row) snapshot of a Graph.
+// Immutable CSR (compressed sparse row) data graph.
 //
-// The mutable adjacency-list Graph is the build-time representation; every
-// search-time consumer (iterators, scorer, prestige, steiner baseline) runs
-// over a FrozenGraph instead: one contiguous `offsets` + `edges` array pair
-// per direction, so a node's neighbourhood is a cache-friendly span rather
-// than a pointer-chased vector-of-vectors. Edge topology is frozen at
-// construction; node weights (prestige) stay assignable because prestige
-// models are applied after the freeze.
+// Every search-time consumer (iterators, scorer, prestige, steiner
+// baseline) runs over a FrozenGraph: one contiguous `offsets` + `edges`
+// array pair per direction, so a node's neighbourhood is a cache-friendly
+// span rather than a pointer-chased vector-of-vectors. Stage B
+// (graph/graph_splice.h) emits the arrays directly; there is no mutable
+// build-time graph. Edge topology is frozen at construction; node weights
+// (prestige) stay assignable because prestige models are applied after the
+// freeze.
 //
 // Storage modes:
-//   - Owning (default): the CSR arrays live in member vectors, as built by
-//     the Graph-freeze or splice constructors.
+//   - Owning (default): the CSR arrays live in member vectors, as stage B
+//     emits them.
 //   - View: the arrays live in externally-owned memory (a mapped snapshot
 //     file, src/snapshot/) referenced through spans, with a type-erased
 //     `arena` keep-alive so the mapping outlives every copy of the graph.
@@ -18,7 +19,7 @@
 //     detaches just the weight array into owned storage (copy-on-write),
 //     leaving offsets/edges mapped.
 //
-// Invariants (recomputed exactly at freeze time, maintained thereafter;
+// Invariants (recomputed exactly at construction, maintained thereafter;
 // the view constructor trusts the caller's stored values):
 //   MaxNodeWeight() == max over node_weight(n)   (0 for an empty graph)
 //   MinEdgeWeight() == min over edge weights     (+inf if no edges)
@@ -32,9 +33,27 @@
 #include <span>
 #include <vector>
 
-#include "graph/graph.h"
-
 namespace banks {
+
+using NodeId = uint32_t;
+inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
+
+/// One directed edge. Both out- and in-adjacency are stored because the
+/// backward expanding search runs Dijkstra "traversing the graph edges in
+/// reverse direction" (§3) while answer trees are read out along forward
+/// edges.
+struct GraphEdge {
+  NodeId to = kInvalidNode;
+  double weight = 1.0;
+};
+
+/// Exact maximum over a node-weight vector (0 for an empty graph) — the
+/// MaxNodeWeight() invariant baseline.
+inline double MaxNodeWeightOf(std::span<const double> weights) {
+  double max = 0.0;
+  for (double w : weights) max = w > max ? w : max;
+  return max;
+}
 
 /// CSR digraph with per-node weights. Out- and in-adjacency are both
 /// materialised because backward expansion relaxes incoming edges while
@@ -45,13 +64,9 @@ class FrozenGraph {
 
   FrozenGraph() = default;
 
-  /// Freezes `g`. Per-node edge order is preserved (insertion order), so a
-  /// graph frozen twice yields identical adjacency.
-  explicit FrozenGraph(const Graph& g);
-
-  /// Adopts pre-assembled CSR arrays (the merge-refreeze splice path,
-  /// graph/graph_splice.h). Offsets carry num_nodes+1 entries; edges of
-  /// node n occupy [offsets[n], offsets[n+1]) in both arrays. The
+  /// Adopts pre-assembled CSR arrays (stage B, graph/graph_splice.h).
+  /// Offsets carry num_nodes+1 entries; edges of node n occupy
+  /// [offsets[n], offsets[n+1]) in both arrays. The
   /// MaxNodeWeight/MinEdgeWeight invariants are recomputed here.
   FrozenGraph(std::vector<uint32_t> out_offsets,
               std::vector<GraphEdge> out_edges,

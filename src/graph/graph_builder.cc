@@ -1,7 +1,6 @@
 #include "graph/graph_builder.h"
 
-#include <algorithm>
-#include <utility>
+#include "graph/graph_splice.h"
 
 namespace banks {
 
@@ -86,137 +85,8 @@ DataGraph MaterializeDataGraph(const Database& db,
                                const std::vector<ResolvedLink>& links,
                                const GraphBuildOptions& options,
                                std::vector<uint32_t>* in_by_relation) {
-  DataGraph dg;
-  Graph g;  // mutable build graph; frozen into dg.graph at the end
-
-  // 1. Nodes, in deterministic (table id, row) order. Tombstoned rows are
-  //    skipped: a refreeze after deletes compacts the node id space (Rids
-  //    stay stable; NodeIds are per-snapshot).
-  size_t total = db.TotalRows();
-  dg.node_rid.reserve(total);
-  dg.rid_node.reserve(total);
-  for (const auto& name : db.table_names()) {
-    const Table* t = db.table(name);
-    for (uint32_t r = 0; r < t->num_rows(); ++r) {
-      if (t->IsDeleted(r)) continue;
-      Rid rid{t->id(), r};
-      NodeId id = g.AddNode(0.0);
-      dg.node_rid.push_back(rid);
-      dg.rid_node.emplace(rid.Pack(), id);
-    }
-  }
-
-  // 2. Per-constraint metadata: the relation names the §2.2 similarity
-  //    lookups need, and the source relation's table id for the
-  //    per-relation indegree key.
-  struct SrcMeta {
-    const std::string* from_table;
-    const std::string* to_table;
-    uint32_t from_table_id;
-  };
-  std::vector<SrcMeta> srcs;
-  srcs.reserve(db.foreign_keys().size() + db.inclusion_dependencies().size());
-  for (const auto& fk : db.foreign_keys()) {
-    const Table* from_t = db.table(fk.table);
-    srcs.push_back(SrcMeta{&fk.table, &fk.ref_table,
-                           from_t != nullptr ? from_t->id() : 0});
-  }
-  for (const auto& ind : db.inclusion_dependencies()) {
-    const Table* from_t = db.table(ind.table);
-    srcs.push_back(SrcMeta{&ind.table, &ind.ref_table,
-                           from_t != nullptr ? from_t->id() : 0});
-  }
-
-  // Node-space view of the links. Endpoints that fail to resolve
-  // (tombstoned rows) and self-links are skipped, matching what a
-  // from-scratch discovery would produce.
-  struct Link {
-    NodeId from;
-    NodeId to;
-    uint32_t src;
-  };
-  std::vector<Link> live;
-  live.reserve(links.size());
-  for (const ResolvedLink& l : links) {
-    if (l.src >= srcs.size()) continue;
-    NodeId fn = dg.NodeForRid(l.from);
-    NodeId tn = dg.NodeForRid(l.to);
-    if (fn == kInvalidNode || tn == kInvalidNode || fn == tn) continue;
-    live.push_back(Link{fn, tn, l.src});
-  }
-
-  // 3. Per-relation indegree of each node: IN_R(v) = #links into v whose
-  //    source tuple belongs to relation R. Needed for backward weights.
-  //    Flat [node * num_tables + source table id] — table ids are dense.
-  const size_t num_tables = db.num_tables();
-  std::vector<uint32_t> in_by_rel(g.num_nodes() * num_tables, 0);
-  std::vector<uint32_t> indegree(g.num_nodes(), 0);
-  auto rel_key = [num_tables](NodeId v, uint32_t from_table_id) {
-    return static_cast<size_t>(v) * num_tables + from_table_id;
-  };
-  for (const auto& l : live) {
-    ++in_by_rel[rel_key(l.to, srcs[l.src].from_table_id)];
-    ++indegree[l.to];
-  }
-
-  // 4. Candidate weights per directed pair. A DB link u->v proposes:
-  //      forward  (u,v): s(R(u), R(v))
-  //      backward (v,u): IN_{R(u)}(v) * s(R(v), R(u))
-  //    When a pair accumulates several candidates (parallel FKs, or links
-  //    in both directions), they combine per options.both_link_combine.
-  std::unordered_map<uint64_t, double> pair_weight;
-  auto pair_key = [](NodeId a, NodeId b) {
-    return (static_cast<uint64_t>(a) << 32) | b;
-  };
-  auto propose = [&](NodeId a, NodeId b, double w) {
-    uint64_t key = pair_key(a, b);
-    auto it = pair_weight.find(key);
-    if (it == pair_weight.end()) {
-      pair_weight.emplace(key, w);
-    } else {
-      it->second = CombineBothLinks(it->second, w, options.both_link_combine);
-    }
-  };
-
-  for (const auto& l : live) {
-    const SrcMeta& src = srcs[l.src];
-    double fwd = options.similarity.Get(*src.from_table, *src.to_table);
-    propose(l.from, l.to, fwd);
-
-    double back_sim = options.similarity.Get(*src.to_table, *src.from_table);
-    double back =
-        options.unit_backward_edges
-            ? back_sim
-            : BackwardEdgeWeight(back_sim,
-                                 in_by_rel[rel_key(l.to, src.from_table_id)]);
-    propose(l.to, l.from, back);
-  }
-
-  // 5. Materialise edges deterministically: iterate links in insertion
-  //    order, emitting each directed pair once.
-  std::unordered_map<uint64_t, bool> emitted;
-  auto emit = [&](NodeId a, NodeId b) {
-    uint64_t key = pair_key(a, b);
-    if (emitted[key]) return;
-    emitted[key] = true;
-    g.AddEdge(a, b, pair_weight.at(key));
-  };
-  for (const auto& l : live) {
-    emit(l.from, l.to);
-    emit(l.to, l.from);
-  }
-
-  // 6. Prestige.
-  if (options.indegree_prestige) {
-    for (NodeId n = 0; n < g.num_nodes(); ++n) {
-      g.set_node_weight(n, static_cast<double>(indegree[n]));
-    }
-  }
-
-  // 7. Freeze into the CSR layout every search-time consumer runs over.
-  dg.graph = FrozenGraph(g);
-  if (in_by_relation != nullptr) *in_by_relation = std::move(in_by_rel);
-  return dg;
+  return SpliceDataGraph(db, DataGraph{}, links, GraphSpliceDelta{},
+                         /*old_counts=*/{}, options, in_by_relation);
 }
 
 DataGraph BuildDataGraph(const Database& db, const GraphBuildOptions& options) {

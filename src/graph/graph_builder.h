@@ -10,13 +10,16 @@
 //                                  FK / inclusion link into Rid space (the
 //                                  expensive part: per-row key encoding and
 //                                  PK-index probes);
-//   stage B  MaterializeDataGraph — deterministically turn a link list into
+//   stage B  SpliceDataGraph     — deterministically turn a link list into
 //                                  the frozen CSR (node enumeration, §2.2
-//                                  weights, prestige, freeze).
-// BuildDataGraph = A + B. The merge-refreeze path (update/refreeze.h)
-// caches the stage-A LinkTable per epoch, patches it in O(delta), and
-// reruns only stage B — byte-identical to a from-scratch rebuild because
-// stage B is the same code consuming the same link sequence.
+//                                  weights, prestige), re-folding only the
+//                                  nodes a delta touches
+//                                  (graph/graph_splice.h).
+// There is one stage B. A full build (MaterializeDataGraph, BuildDataGraph
+// = A + B) is the splice against an empty base, where every node is new and
+// so touched. The merge-refreeze path (update/refreeze.h) caches the
+// stage-A LinkTable per epoch, patches it in O(delta), and splices against
+// the epoch's graph.
 #ifndef BANKS_GRAPH_GRAPH_BUILDER_H_
 #define BANKS_GRAPH_GRAPH_BUILDER_H_
 
@@ -28,7 +31,6 @@
 
 #include "graph/edge_weight.h"
 #include "graph/frozen_graph.h"
-#include "graph/graph.h"
 #include "storage/database.h"
 
 namespace banks {
@@ -52,8 +54,8 @@ struct GraphBuildOptions {
 };
 
 /// The database graph plus the Rid <-> NodeId correspondence. The graph is
-/// a frozen CSR snapshot: build mutably via Graph, then assign
-/// `dg.graph = FrozenGraph(g)`. Node weights remain assignable (prestige).
+/// a frozen CSR snapshot, emitted by stage B. Node weights remain
+/// assignable (prestige).
 struct DataGraph {
   FrozenGraph graph;
   std::vector<Rid> node_rid;                      ///< NodeId -> Rid
@@ -119,10 +121,9 @@ struct LinkTable {
   std::vector<std::unordered_map<std::string, std::vector<Rid>>> referrers;
 
   /// Per-(node, source-relation) indegree counts of the graph built from
-  /// `links` (the MaterializeDataGraph export; flat
-  /// [node * num_tables + table_id]). The splice path patches these with
-  /// the epoch's link deltas instead of recounting. Filled by the
-  /// refreeze coordinator.
+  /// `links` (the stage-B export; flat [node * num_tables + table_id]).
+  /// The splice copies them for untouched nodes instead of recounting.
+  /// Filled by the refreeze coordinator.
   std::vector<uint32_t> in_by_relation;
 };
 
@@ -136,14 +137,15 @@ std::string DanglingFkKey(uint32_t fk_ordinal, const std::string& value_key);
 /// insert per reference).
 LinkTable ResolveLinkTable(const Database& db, bool with_merge_aids = false);
 
-/// Stage B: deterministically materialises the frozen data graph from a
-/// link list in LinkOrder. Links whose endpoints are tombstoned (or
-/// self-links) are skipped. Node ids are assigned in (table, row) order.
+/// Stage B from scratch: the splice (graph/graph_splice.h) against an empty
+/// base. Materialises the frozen data graph from a link list in LinkOrder.
+/// Links whose endpoints are tombstoned (or self-links) are skipped. Node
+/// ids are assigned in (table, row) order.
 ///
 /// `in_by_relation` (optional) receives the per-(node, source-relation)
 /// link-indegree counts IN_R(v) the §2.2 backward weights derive from,
-/// flat-indexed [node * db.num_tables() + source_table_id] — the state the
-/// splice path (graph/graph_splice.h) patches instead of recounting.
+/// flat-indexed [node * db.num_tables() + source_table_id] — the state a
+/// later splice copies for the nodes it does not touch.
 DataGraph MaterializeDataGraph(const Database& db,
                                const std::vector<ResolvedLink>& links,
                                const GraphBuildOptions& options = {},

@@ -1,8 +1,8 @@
 #include "graph/graph_splice.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "graph/edge_weight.h"
@@ -11,27 +11,84 @@ namespace banks {
 
 namespace {
 
-/// Per-constraint metadata, as in MaterializeDataGraph step 2.
-struct SrcMeta {
-  const std::string* from_table;
-  const std::string* to_table;
+/// A constraint's §2.2 inputs, resolved once per splice: the source
+/// relation's table id (the per-relation indegree key) and the similarity
+/// in each direction.
+struct Constraint {
   uint32_t from_table_id;
+  double forward;   ///< s(R(u), R(v)) for a link u -> v
+  double backward;  ///< s(R(v), R(u))
 };
 
-std::vector<SrcMeta> ConstraintMeta(const Database& db) {
-  std::vector<SrcMeta> srcs;
-  srcs.reserve(db.foreign_keys().size() + db.inclusion_dependencies().size());
-  for (const auto& fk : db.foreign_keys()) {
-    const Table* from_t = db.table(fk.table);
-    srcs.push_back(SrcMeta{&fk.table, &fk.ref_table,
-                           from_t != nullptr ? from_t->id() : 0});
-  }
+std::vector<Constraint> Constraints(const Database& db,
+                                    const GraphBuildOptions& options) {
+  std::vector<Constraint> out;
+  out.reserve(db.foreign_keys().size() + db.inclusion_dependencies().size());
+  auto add = [&](const std::string& from, const std::string& to) {
+    const Table* from_t = db.table(from);
+    out.push_back(Constraint{from_t != nullptr ? from_t->id() : 0,
+                             options.similarity.Get(from, to),
+                             options.similarity.Get(to, from)});
+  };
+  for (const auto& fk : db.foreign_keys()) add(fk.table, fk.ref_table);
   for (const auto& ind : db.inclusion_dependencies()) {
-    const Table* from_t = db.table(ind.table);
-    srcs.push_back(SrcMeta{&ind.table, &ind.ref_table,
-                           from_t != nullptr ? from_t->id() : 0});
+    add(ind.table, ind.ref_table);
   }
-  return srcs;
+  return out;
+}
+
+/// A live link in node space.
+struct Link {
+  NodeId from;
+  NodeId to;
+  uint32_t src;
+};
+
+/// One directed edge of the touched subgraph.
+struct PairEdge {
+  NodeId from;
+  NodeId to;
+  double weight;
+};
+
+/// Folds the §2.2 candidates of `links` into one edge per directed pair.
+/// A link u -> v proposes
+///   forward  (u,v): s(R(u), R(v))
+///   backward (v,u): IN_{R(u)}(v) * s(R(v), R(u))
+/// and a pair's candidates (parallel links, or links in both directions)
+/// combine per options.both_link_combine in proposal order. Pairs come out
+/// in first-proposal order, which is the emission order.
+std::vector<PairEdge> FoldPairs(const std::vector<Link>& links,
+                                const std::vector<Constraint>& cons,
+                                const std::vector<uint32_t>& counts,
+                                size_t num_tables,
+                                const GraphBuildOptions& options) {
+  std::vector<PairEdge> pairs;
+  pairs.reserve(2 * links.size());
+  std::unordered_map<uint64_t, uint32_t> slot;  // (from, to) -> pairs index
+  slot.reserve(2 * links.size());
+  auto propose = [&](NodeId a, NodeId b, double w) {
+    const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
+    const auto [it, fresh] =
+        slot.try_emplace(key, static_cast<uint32_t>(pairs.size()));
+    if (fresh) {
+      pairs.push_back(PairEdge{a, b, w});
+    } else {
+      double& cur = pairs[it->second].weight;
+      cur = CombineBothLinks(cur, w, options.both_link_combine);
+    }
+  };
+  for (const Link& l : links) {
+    const Constraint& c = cons[l.src];
+    propose(l.from, l.to, c.forward);
+    propose(l.to, l.from,
+            options.unit_backward_edges
+                ? c.backward
+                : BackwardEdgeWeight(
+                      c.backward,
+                      counts[l.to * num_tables + c.from_table_id]));
+  }
+  return pairs;
 }
 
 }  // namespace
@@ -44,10 +101,11 @@ DataGraph SpliceDataGraph(const Database& db, const DataGraph& old_dg,
                           std::vector<uint32_t>* new_counts) {
   const size_t num_tables = db.num_tables();
   const size_t old_n = old_dg.graph.num_nodes();
-  const std::vector<SrcMeta> srcs = ConstraintMeta(db);
+  const std::vector<Constraint> cons = Constraints(db, options);
 
-  // 1. New node enumeration, exactly as MaterializeDataGraph assigns ids:
-  //    (table id, row) order over live rows. Both the old and the new
+  // 1. Node enumeration: (table id, row) order over live rows. Tombstoned
+  //    rows are skipped, so deletes compact the id space (Rids stay
+  //    stable; NodeIds are per-snapshot). Both the old and the new
   //    node_rid sequences ascend in that order (deletes drop entries,
   //    inserts append rows), so one two-pointer pass yields the remap.
   DataGraph dg;
@@ -83,140 +141,66 @@ DataGraph SpliceDataGraph(const Database& db, const DataGraph& old_dg,
     }
   }
 
-  // 2. Patched per-(node, source-relation) indegree counts: remap the old
-  //    rows, then apply the removed/added link deltas. Every old-table
-  //    link was counted (its endpoints were live at the old freeze), so
-  //    decrements match; added links resolve among live rows only.
-  std::vector<uint32_t> counts(new_n * num_tables, 0);
-  for (size_t i = 0; i < old_n; ++i) {
-    const NodeId n = old_to_new[i];
-    if (n == kInvalidNode) continue;
-    for (size_t t = 0; t < num_tables; ++t) {
-      counts[n * num_tables + t] = old_counts[i * num_tables + t];
-    }
-  }
-  auto node_of = [&dg](Rid r) { return dg.NodeForRid(r); };
-  for (const ResolvedLink& l : delta.removed) {
-    const NodeId tn = node_of(l.to);
-    if (tn != kInvalidNode && l.src < srcs.size()) {
-      --counts[tn * num_tables + srcs[l.src].from_table_id];
-    }
-  }
-  for (const ResolvedLink& l : delta.added) {
-    const NodeId tn = node_of(l.to);
-    if (tn != kInvalidNode && l.src < srcs.size()) {
-      ++counts[tn * num_tables + srcs[l.src].from_table_id];
-    }
-  }
-
-  // 3. Touched nodes: everything whose adjacency content or order can
-  //    differ from a straight remap of the old CSR —
-  //      - endpoints of removed/added links (pair sets or weights change),
-  //      - inserted rows (new nodes),
-  //      - the old partner fan of every removed/added target: its
-  //        per-relation indegree may have changed, and §2.2 backward
-  //        weights toward ALL its partners derive from that count.
+  // 2. Touched nodes: everything whose adjacency content or order can
+  //    differ from a straight remap of the old CSR.
   std::vector<char> touched(new_n, 0);
-  auto touch = [&](Rid r) {
-    const NodeId n = node_of(r);
-    if (n != kInvalidNode) touched[n] = 1;
-  };
-  std::unordered_set<NodeId> fan_targets;  // old ids, deduplicated
-  auto note_target = [&](Rid to) {
-    const NodeId tn = node_of(to);
-    if (tn == kInvalidNode) return;
-    const NodeId old_id = new_to_old[tn];
-    if (old_id != kInvalidNode) fan_targets.insert(old_id);
-  };
-  for (const ResolvedLink& l : delta.removed) {
-    touch(l.from);
-    touch(l.to);
-    note_target(l.to);
+  for (size_t n = 0; n < new_n; ++n) {
+    if (new_to_old[n] == kInvalidNode) touched[n] = 1;
   }
-  for (const ResolvedLink& l : delta.added) {
-    touch(l.from);
-    touch(l.to);
-    note_target(l.to);
+  std::vector<char> fan(new_n, 0);  // targets whose indegree may change
+  for (const auto* links : {&delta.removed, &delta.added}) {
+    for (const ResolvedLink& l : *links) {
+      const NodeId fn = dg.NodeForRid(l.from);
+      const NodeId tn = dg.NodeForRid(l.to);
+      if (fn != kInvalidNode) touched[fn] = 1;
+      if (tn != kInvalidNode) touched[tn] = fan[tn] = 1;
+    }
   }
-  for (const Rid rid : delta.inserted) touch(rid);
-  for (const NodeId old_id : fan_targets) {
+  for (size_t n = 0; n < new_n; ++n) {
+    if (fan[n] == 0 || new_to_old[n] == kInvalidNode) continue;
     // Every link between two nodes emits both directed edges, so the old
     // out-neighbour span IS the partner set.
-    for (const auto& e : old_dg.graph.OutEdges(old_id)) {
+    for (const auto& e : old_dg.graph.OutEdges(new_to_old[n])) {
       const NodeId pn = old_to_new[e.to];
       if (pn != kInvalidNode) touched[pn] = 1;
     }
   }
 
-  // 4. Re-materialise the touched subgraph from its incident links, with
-  //    MaterializeDataGraph's exact fold and emission order. A touched
-  //    node's incident links are all present in the filtered sequence (in
-  //    merged order), so per-node relative order is preserved; pairs
-  //    between two untouched nodes keep candidates, counts and fold order
-  //    unchanged and are never recomputed.
-  struct Link {
-    NodeId from;
-    NodeId to;
-    uint32_t src;
-  };
+  // 3. The live links incident to a touched node, in merged order. A
+  //    touched node's incident links are all here, so per-node relative
+  //    order is preserved; pairs between two untouched nodes keep
+  //    candidates, counts and fold order unchanged and are never
+  //    recomputed. Endpoints that fail to resolve (tombstoned rows) and
+  //    self-links are skipped.
   std::vector<Link> tl;
   for (const ResolvedLink& l : merged_links) {
-    if (l.src >= srcs.size()) continue;
-    const NodeId fn = node_of(l.from);
-    const NodeId tn = node_of(l.to);
+    if (l.src >= cons.size()) continue;
+    const NodeId fn = dg.NodeForRid(l.from);
+    const NodeId tn = dg.NodeForRid(l.to);
     if (fn == kInvalidNode || tn == kInvalidNode || fn == tn) continue;
     if (touched[fn] == 0 && touched[tn] == 0) continue;
     tl.push_back(Link{fn, tn, l.src});
   }
 
-  std::unordered_map<uint64_t, double> pair_weight;
-  pair_weight.reserve(tl.size() * 2);
-  auto pair_key = [](NodeId a, NodeId b) {
-    return (static_cast<uint64_t>(a) << 32) | b;
-  };
-  auto propose = [&](NodeId a, NodeId b, double w) {
-    uint64_t key = pair_key(a, b);
-    auto it = pair_weight.find(key);
-    if (it == pair_weight.end()) {
-      pair_weight.emplace(key, w);
-    } else {
-      it->second = CombineBothLinks(it->second, w, options.both_link_combine);
+  // 4. Per-(node, source-relation) indegree IN_R(v) = #links into v whose
+  //    source tuple belongs to relation R, flat [node * num_tables + table
+  //    id]: recounted from `tl` for touched nodes (every link into one is
+  //    there), copied from the base for the rest (their incoming links did
+  //    not change, or they would be touched).
+  std::vector<uint32_t> counts(new_n * num_tables, 0);
+  for (size_t n = 0; n < new_n; ++n) {
+    if (touched[n] != 0) continue;
+    const size_t o = new_to_old[n];
+    std::copy_n(old_counts.begin() + o * num_tables, num_tables,
+                counts.begin() + n * num_tables);
+  }
+  for (const Link& l : tl) {
+    if (touched[l.to] != 0) {
+      ++counts[l.to * num_tables + cons[l.src].from_table_id];
     }
-  };
-  for (const auto& l : tl) {
-    const SrcMeta& src = srcs[l.src];
-    propose(l.from, l.to, options.similarity.Get(*src.from_table,
-                                                 *src.to_table));
-    const double back_sim =
-        options.similarity.Get(*src.to_table, *src.from_table);
-    const double back =
-        options.unit_backward_edges
-            ? back_sim
-            : BackwardEdgeWeight(
-                  back_sim,
-                  counts[l.to * num_tables + src.from_table_id]);
-    propose(l.to, l.from, back);
   }
 
-  struct Adj {
-    std::vector<GraphEdge> out;
-    std::vector<GraphEdge> in;
-  };
-  std::unordered_map<NodeId, Adj> rebuilt;
-  std::unordered_set<uint64_t> emitted;
-  emitted.reserve(tl.size() * 2);
-  auto emit = [&](NodeId a, NodeId b) {
-    if (!emitted.insert(pair_key(a, b)).second) return;
-    const double w = pair_weight.at(pair_key(a, b));
-    if (touched[a] != 0) rebuilt[a].out.push_back(GraphEdge{b, w});
-    if (touched[b] != 0) rebuilt[b].in.push_back(GraphEdge{a, w});
-  };
-  for (const auto& l : tl) {
-    emit(l.from, l.to);
-    emit(l.to, l.from);
-  }
-
-  // 5. Prestige: indegree is the row sum of the patched counts.
+  // 5. Prestige: indegree is the row sum of the counts.
   std::vector<double> weights(new_n, 0.0);
   if (options.indegree_prestige) {
     for (size_t n = 0; n < new_n; ++n) {
@@ -226,34 +210,56 @@ DataGraph SpliceDataGraph(const Database& db, const DataGraph& old_dg,
     }
   }
 
-  // 6. Assemble the CSR arrays: untouched spans are copied with remapped
-  //    neighbour ids (a dead or re-weighted neighbour would have made the
-  //    node touched); touched nodes take their rebuilt adjacency.
+  // 6. CSR offsets from per-node degrees: the old span's for untouched
+  //    nodes, the folded pairs' for touched ones.
+  const std::vector<PairEdge> pairs =
+      FoldPairs(tl, cons, counts, num_tables, options);
   std::vector<uint32_t> out_offsets(new_n + 1, 0);
   std::vector<uint32_t> in_offsets(new_n + 1, 0);
-  std::vector<GraphEdge> out_edges;
-  std::vector<GraphEdge> in_edges;
-  out_edges.reserve(old_dg.graph.num_edges() + 2 * delta.added.size());
-  in_edges.reserve(old_dg.graph.num_edges() + 2 * delta.added.size());
-  static const Adj kEmptyAdj;
   for (size_t n = 0; n < new_n; ++n) {
-    if (touched[n] != 0) {
-      auto it = rebuilt.find(static_cast<NodeId>(n));
-      const Adj& adj = it != rebuilt.end() ? it->second : kEmptyAdj;
-      out_edges.insert(out_edges.end(), adj.out.begin(), adj.out.end());
-      in_edges.insert(in_edges.end(), adj.in.begin(), adj.in.end());
-    } else {
-      const NodeId old_id = new_to_old[n];
-      for (const auto& e : old_dg.graph.OutEdges(old_id)) {
-        assert(old_to_new[e.to] != kInvalidNode);
-        out_edges.push_back(GraphEdge{old_to_new[e.to], e.weight});
-      }
-      for (const auto& e : old_dg.graph.InEdges(old_id)) {
-        in_edges.push_back(GraphEdge{old_to_new[e.to], e.weight});
-      }
+    if (touched[n] != 0) continue;
+    out_offsets[n + 1] =
+        static_cast<uint32_t>(old_dg.graph.OutDegree(new_to_old[n]));
+    in_offsets[n + 1] =
+        static_cast<uint32_t>(old_dg.graph.InDegree(new_to_old[n]));
+  }
+  for (const PairEdge& p : pairs) {
+    if (touched[p.from] != 0) ++out_offsets[p.from + 1];
+    if (touched[p.to] != 0) ++in_offsets[p.to + 1];
+  }
+  for (size_t n = 0; n < new_n; ++n) {
+    out_offsets[n + 1] += out_offsets[n];
+    in_offsets[n + 1] += in_offsets[n];
+  }
+
+  // 7. Edges: untouched spans are copied with remapped neighbour ids (a
+  //    dead or re-weighted neighbour would have made the node touched);
+  //    touched nodes take their folded pairs in emission order.
+  std::vector<GraphEdge> out_edges(out_offsets[new_n]);
+  std::vector<GraphEdge> in_edges(in_offsets[new_n]);
+  for (size_t n = 0; n < new_n; ++n) {
+    if (touched[n] != 0) continue;
+    auto out = out_edges.begin() + out_offsets[n];
+    for (const auto& e : old_dg.graph.OutEdges(new_to_old[n])) {
+      assert(old_to_new[e.to] != kInvalidNode);
+      *out++ = GraphEdge{old_to_new[e.to], e.weight};
     }
-    out_offsets[n + 1] = static_cast<uint32_t>(out_edges.size());
-    in_offsets[n + 1] = static_cast<uint32_t>(in_edges.size());
+    auto in = in_edges.begin() + in_offsets[n];
+    for (const auto& e : old_dg.graph.InEdges(new_to_old[n])) {
+      *in++ = GraphEdge{old_to_new[e.to], e.weight};
+    }
+  }
+  std::vector<uint32_t> cursor(out_offsets.begin(), out_offsets.end() - 1);
+  for (const PairEdge& p : pairs) {
+    if (touched[p.from] != 0) {
+      out_edges[cursor[p.from]++] = GraphEdge{p.to, p.weight};
+    }
+  }
+  cursor.assign(in_offsets.begin(), in_offsets.end() - 1);
+  for (const PairEdge& p : pairs) {
+    if (touched[p.to] != 0) {
+      in_edges[cursor[p.to]++] = GraphEdge{p.from, p.weight};
+    }
   }
 
   dg.graph = FrozenGraph(std::move(out_offsets), std::move(out_edges),

@@ -522,18 +522,11 @@ LiveStateSnapshot RefreezeCoordinator::MergeRebuild(uint64_t epoch,
   std::merge(kept.begin(), kept.end(), added.begin(), added.end(),
              std::back_inserter(next->links), LinkOrder);
   gdelta.added = std::move(added);
-  for (const auto& [pack, c] : changes) {
-    const Rid rid = Rid::Unpack(pack);
-    if (c.inserted && !c.deleted && !db_->IsDeleted(rid)) {
-      gdelta.inserted.push_back(rid);
-    }
-  }
 
-  // 4. Stage B, spliced: identical output to MaterializeDataGraph over
-  //    the patched link sequence — compacted NodeIds and exact §2.2
-  //    weights (per-relation indegrees patched, not recounted) — but only
-  //    the delta-bound touched subgraph is re-folded; untouched CSR spans
-  //    are copied with remapped ids.
+  // 4. Stage B, spliced against the epoch's graph: the same routine a full
+  //    build runs against an empty base, so only the delta-bound touched
+  //    subgraph (rows born this epoch included) is re-folded; untouched
+  //    CSR spans and indegree counts are copied with remapped ids.
   auto state = std::make_shared<LiveState>();
   state->dg = std::make_shared<const DataGraph>(SpliceDataGraph(
       *db_, *base_, next->links, gdelta, links_->in_by_relation,

@@ -20,11 +20,14 @@
 //                    O(database). Always correct; the merge path's oracle.
 //   MergeRebuild() — O(base + delta): patch the cached per-epoch LinkTable
 //                    with the mutation log (re-resolving only dirty rows),
-//                    rerun the deterministic stage-B materialisation, and
-//                    patch copies of the inverted/numeric indexes from the
-//                    log's old/new values. Byte-identical to Rebuild() by
-//                    construction — stage B is the same code consuming the
-//                    same link sequence — and verifiable at runtime via
+//                    splice the CSR against the epoch's graph, and patch
+//                    copies of the inverted/numeric indexes from the log's
+//                    old/new values. Both paths run the one stage-B routine
+//                    (a full build splices against an empty base), so the
+//                    §2.2 fold and the CSR emission are shared code; the
+//                    link-table and index patches, and the spans and counts
+//                    the splice copies from the base, are what the
+//                    merge-vs-full oracle checks, at runtime via
 //                    UpdateOptions::verify_merge_refreeze.
 #ifndef BANKS_UPDATE_REFREEZE_H_
 #define BANKS_UPDATE_REFREEZE_H_

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph_fixture.h"
+
 namespace banks {
 namespace {
 

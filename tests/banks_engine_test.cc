@@ -246,35 +246,5 @@ TEST(EngineMetadataTest, MetadataKeywordQuery) {
   EXPECT_TRUE(top.edges.empty());
 }
 
-// The transitional text-only shims must answer exactly like the canonical
-// QueryRequest entry points until they are removed. They are [[deprecated]]
-// and CI builds with -Werror, so this test — their only remaining caller —
-// suppresses the warning locally.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(EngineShimTest, DeprecatedTextOverloadsMatchQueryRequest) {
-  DblpConfig config;
-  config.num_authors = 30;
-  config.num_papers = 40;
-  DblpDataset ds = GenerateDblp(config);
-  BanksEngine engine(std::move(ds.db));
-
-  auto via_shim = engine.Search("soumen sunita");
-  auto via_request = engine.Search({.text = "soumen sunita"});
-  ASSERT_TRUE(via_shim.ok());
-  ASSERT_TRUE(via_request.ok());
-  ASSERT_EQ(via_shim.value().answers.size(),
-            via_request.value().answers.size());
-  for (size_t i = 0; i < via_shim.value().answers.size(); ++i) {
-    EXPECT_EQ(engine.Render(via_shim.value().answers[i]),
-              engine.Render(via_request.value().answers[i]));
-  }
-
-  auto session = engine.OpenSession("soumen sunita");
-  ASSERT_TRUE(session.ok());
-  EXPECT_EQ(session.value().Drain().size(), via_request.value().answers.size());
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace banks

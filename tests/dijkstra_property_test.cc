@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/expansion_iterator.h"
+#include "graph_fixture.h"
 #include "update/delta_graph.h"
 #include "util/rng.h"
 

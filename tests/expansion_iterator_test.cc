@@ -5,6 +5,8 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "graph_fixture.h"
+
 namespace banks {
 namespace {
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "graph_fixture.h"
 #include "util/rng.h"
 
 namespace banks {

@@ -1,4 +1,4 @@
-#include "graph/graph.h"
+#include "graph_fixture.h"
 
 #include <gtest/gtest.h>
 

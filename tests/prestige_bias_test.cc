@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/backward_search.h"
+#include "graph_fixture.h"
 
 namespace banks {
 namespace {

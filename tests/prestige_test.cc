@@ -4,6 +4,8 @@
 
 #include <numeric>
 
+#include "graph_fixture.h"
+
 namespace banks {
 namespace {
 

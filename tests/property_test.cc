@@ -8,6 +8,7 @@
 #include "core/backward_search.h"
 #include "core/steiner_baseline.h"
 #include "datagen/dblp_gen.h"
+#include "graph_fixture.h"
 #include "util/rng.h"
 
 namespace banks {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "graph_fixture.h"
+
 namespace banks {
 namespace {
 

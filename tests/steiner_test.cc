@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/backward_search.h"
+#include "graph_fixture.h"
 #include "util/rng.h"
 
 namespace banks {
