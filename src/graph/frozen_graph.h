@@ -77,8 +77,8 @@ class FrozenGraph {
   /// a single element (the snapshot mmap path). `arena` is held for the
   /// lifetime of this graph and every copy of it, keeping the backing
   /// storage mapped. The invariant values are trusted as stored — the
-  /// caller (snapshot reader) verifies them with section checksums, so a
-  /// mapped graph is byte-identical to the freshly built one it captured.
+  /// caller (snapshot reader) checks them against the arrays, so a mapped
+  /// graph is byte-identical to the freshly built one it captured.
   FrozenGraph(std::span<const uint32_t> out_offsets, EdgeSpan out_edges,
               std::span<const uint32_t> in_offsets, EdgeSpan in_edges,
               std::span<const double> node_weights, double max_node_weight,

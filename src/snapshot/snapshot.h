@@ -85,9 +85,10 @@ Result<SnapshotWriteStats> WriteSnapshot(const LiveState& state,
                                          uint64_t db_fingerprint = 0);
 
 /// Maps `path` read-only and reconstructs its LiveState. Corrupt or
-/// truncated files, wrong magic/version/endianness, and inconsistent
-/// section tables all fail with a clean Status — never undefined
-/// behaviour.
+/// truncated files, wrong magic/version/endianness, inconsistent section
+/// tables, and CSR arrays a search could not run over (edge targets out of
+/// range, weights Dijkstra cannot use, stored invariants that disagree with
+/// the arrays) all fail with a clean Status — never undefined behaviour.
 Result<OpenedSnapshot> OpenSnapshot(const std::string& path,
                                     const SnapshotOpenOptions& options = {});
 

@@ -4,9 +4,12 @@
 // Validation order: stat/map -> header (magic, version, endianness, size)
 // -> section table (bounds, alignment, kinds, table checksum) -> per-section
 // checksums (optional) -> structural cross-checks (counts vs sizes,
-// monotonic offset arrays, sorted keywords). Only after all of that are
-// spans handed to the view-backed structures, so a corrupt file fails with
-// a clean Status and can never index out of the mapping.
+// monotonic offset arrays, sorted keywords) -> one linear pass over the
+// CSR (edge targets in range, edge weights finite and > 0, node weights
+// finite and >= 0, stored weight invariants exact). Only after all of that
+// are spans handed to the view-backed structures, so a corrupt file — even
+// a re-checksummed one — fails with a clean Status and can never index out
+// of the mapping. Rids are not checked against the storage layer.
 //
 // This file owns the only mmap/munmap calls in the tree outside tests
 // (tools/banks_lint.py, snapshot-io-confinement).
@@ -15,8 +18,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -127,6 +132,51 @@ bool KeywordsValid(std::string_view blob, std::span<const uint64_t> offsets,
     prev = kw;
   }
   return true;
+}
+
+/// The CSR semantics FrozenGraph and the expansion iterators rely on, in
+/// one linear pass: every edge target names a node, every edge weight is
+/// finite and > 0 (Dijkstra's precondition), every node weight is finite
+/// and >= 0, and the stored invariants equal the values the arrays give.
+/// Offsets must already be known valid (OffsetsValid32).
+Status GraphValid(const SnapshotMeta& meta, FrozenGraph::EdgeSpan out_edges,
+                  FrozenGraph::EdgeSpan in_edges,
+                  std::span<const double> node_weights) {
+  // The flags accumulate without a branch per element (a NaN fails every
+  // comparison), so the pass costs little more than reading the arrays.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  bool bad_target = false;
+  bool bad_edge_weight = false;
+  double min_edge_weight = kInf;
+  for (const GraphEdge& e : out_edges) {
+    bad_target |= e.to >= meta.num_nodes;
+    bad_edge_weight |= !(e.weight > 0 && e.weight < kInf);
+    min_edge_weight = std::min(min_edge_weight, e.weight);
+  }
+  for (const GraphEdge& e : in_edges) {
+    bad_target |= e.to >= meta.num_nodes;
+    bad_edge_weight |= !(e.weight > 0 && e.weight < kInf);
+  }
+  bool bad_node_weight = false;
+  for (const double w : node_weights) {
+    bad_node_weight |= !(w >= 0 && w < kInf);
+  }
+  if (bad_target) {
+    return Status::Corruption("snapshot: edge target out of range");
+  }
+  if (bad_edge_weight) {
+    return Status::Corruption("snapshot: edge weight not finite and positive");
+  }
+  if (bad_node_weight) {
+    return Status::Corruption(
+        "snapshot: node weight not finite and non-negative");
+  }
+  if (meta.max_node_weight != MaxNodeWeightOf(node_weights) ||
+      meta.min_edge_weight != min_edge_weight) {
+    return Status::Corruption(
+        "snapshot: stored weight invariants disagree with the arrays");
+  }
+  return Status::OK();
 }
 
 /// Bounds-checked cursor over the metadata blob.
@@ -290,6 +340,10 @@ Result<OpenedSnapshot> OpenSnapshot(const std::string& path,
     if (!(numeric_values[i - 1] < numeric_values[i])) {
       return Status::Corruption("snapshot: numeric values not ascending");
     }
+  }
+  if (Status s = GraphValid(meta, out_edges, in_edges, node_weights);
+      !s.ok()) {
+    return s;
   }
 
   const std::shared_ptr<const void> arena = mapped;

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <string>
 #include <utility>
@@ -471,6 +472,101 @@ TEST_F(SnapshotCorruption, UnsortedOrEmptyKeywordsAreRejected) {
     Rechecksum(&same);
     EXPECT_EQ(same, bytes_);
   }
+}
+
+/// Writes `value` at byte `at` of section `kind` in a re-checksummed copy
+/// of `base`, so only the semantic checks can reject it, and expects a
+/// kCorruption whose message contains `reason`.
+template <typename T>
+void ExpectRechecksummedRejected(const std::string& base,
+                                 const std::string& path,
+                                 snapshot::SectionKind kind, uint64_t at,
+                                 T value, const std::string& reason) {
+  SectionEntry entry;
+  std::memcpy(&entry,
+              base.data() + sizeof(SnapshotHeader) +
+                  (kind - 1) * sizeof(SectionEntry),
+              sizeof(entry));
+  ASSERT_EQ(entry.kind, kind);
+  ASSERT_LE(at + sizeof(T), entry.size);
+  std::string mutated = base;
+  std::memcpy(mutated.data() + entry.offset + at, &value, sizeof(value));
+  Rechecksum(&mutated);
+  WriteFile(path, mutated);
+  auto opened = OpenSnapshot(path);
+  ASSERT_FALSE(opened.ok()) << reason;
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find(reason), std::string::npos)
+      << opened.status().ToString();
+}
+
+/// The stored meta section of a snapshot file.
+snapshot::SnapshotMeta MetaOf(const std::string& file) {
+  SectionEntry entry;
+  std::memcpy(&entry,
+              file.data() + sizeof(SnapshotHeader) +
+                  (snapshot::kMeta - 1) * sizeof(SectionEntry),
+              sizeof(entry));
+  snapshot::SnapshotMeta meta;
+  std::memcpy(&meta, file.data() + entry.offset, sizeof(meta));
+  return meta;
+}
+
+// The expansion iterators index node arrays by edge target, so a
+// re-checksummed file with one bad target would read out of bounds.
+TEST_F(SnapshotCorruption, EdgeTargetsOutOfRangeAreRejected) {
+  const snapshot::SnapshotMeta meta = MetaOf(bytes_);
+  ASSERT_GT(meta.num_edges, 0u);
+  const std::string path = TempPath(name_ + "_case.banks");
+  const uint64_t last = (meta.num_edges - 1) * sizeof(GraphEdge);
+  ExpectRechecksummedRejected(bytes_, path, snapshot::kOutEdges,
+                              offsetof(GraphEdge, to),
+                              static_cast<NodeId>(meta.num_nodes),
+                              "edge target out of range");
+  ExpectRechecksummedRejected(bytes_, path, snapshot::kInEdges,
+                              last + offsetof(GraphEdge, to), kInvalidNode,
+                              "edge target out of range");
+}
+
+// Dijkstra needs finite positive weights; the builder only ever emits them.
+TEST_F(SnapshotCorruption, NonPositiveOrNonFiniteEdgeWeightsAreRejected) {
+  const std::string path = TempPath(name_ + "_case.banks");
+  for (double w : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    ExpectRechecksummedRejected(bytes_, path, snapshot::kOutEdges,
+                                offsetof(GraphEdge, weight), w,
+                                "edge weight not finite and positive");
+  }
+  ExpectRechecksummedRejected(bytes_, path, snapshot::kInEdges,
+                              offsetof(GraphEdge, weight), 0.0,
+                              "edge weight not finite and positive");
+}
+
+TEST_F(SnapshotCorruption, NegativeOrNonFiniteNodeWeightsAreRejected) {
+  const std::string path = TempPath(name_ + "_case.banks");
+  for (double w : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    ExpectRechecksummedRejected(bytes_, path, snapshot::kNodeWeights, 0, w,
+                                "node weight not finite and non-negative");
+  }
+}
+
+// Scores normalise by the stored maximum node weight and minimum edge
+// weight (§2.3), so both must be the values the arrays give.
+TEST_F(SnapshotCorruption, StoredWeightInvariantsMustMatchTheArrays) {
+  const snapshot::SnapshotMeta meta = MetaOf(bytes_);
+  const std::string path = TempPath(name_ + "_case.banks");
+  ExpectRechecksummedRejected(
+      bytes_, path, snapshot::kMeta,
+      offsetof(snapshot::SnapshotMeta, max_node_weight),
+      meta.max_node_weight + 1.0,
+      "stored weight invariants disagree with the arrays");
+  ExpectRechecksummedRejected(
+      bytes_, path, snapshot::kMeta,
+      offsetof(snapshot::SnapshotMeta, min_edge_weight),
+      meta.min_edge_weight / 2,
+      "stored weight invariants disagree with the arrays");
 }
 
 TEST_F(SnapshotCorruption, MissingFileIsACleanError) {
