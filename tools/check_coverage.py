@@ -6,9 +6,10 @@ Usage:
 
 Reads an lcov trace (llvm-cov export -format=lcov in CI; anything
 emitting SF:/DA: records works) and computes aggregate line coverage
-over src/update/, src/server/ and src/snapshot/ — the subsystems where
-a silently untested branch means a stale cache entry, a lost mutation,
-or a corrupt-file code path that crashes instead of returning a Status.
+over src/update/, src/server/, src/snapshot/ and src/graph/ — the
+subsystems where a silently untested branch means a stale cache entry, a
+lost mutation, a corrupt-file code path that crashes instead of returning
+a Status, or a stage-B branch that emits a wrong graph.
 Fails (exit 1) if the percentage drops below the
 floor checked into tools/coverage_floor.txt, so coverage can only be
 ratcheted deliberately.
@@ -21,7 +22,7 @@ import os
 import sys
 
 #: Subsystems the floor covers, matched as path substrings of SF records.
-GATED_DIRS = ("src/update/", "src/server/", "src/snapshot/")
+GATED_DIRS = ("src/update/", "src/server/", "src/snapshot/", "src/graph/")
 
 
 def parse_lcov(path):
@@ -46,8 +47,8 @@ def parse_lcov(path):
                     count = int(float(fields[1]))
                     # Duplicate DA records (template instantiations) keep
                     # the max: a line exercised anywhere counts as covered.
-                    if count > current.get(lineno, 0):
-                        current[lineno] = count
+                    # A zero count is recorded too: it is an uncovered line.
+                    current[lineno] = max(count, current.get(lineno, 0))
     except OSError as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
