@@ -7,9 +7,9 @@
 //
 // The build is split in two stages so a refreeze can reuse work:
 //   stage A  ResolveLinkTable    — walk the database once and resolve every
-//                                  FK / inclusion link into Rid space (the
-//                                  expensive part: per-row key encoding and
-//                                  PK-index probes);
+//                                  FK / inclusion link into Rid space
+//                                  (per-row key encoding and PK-index
+//                                  probes);
 //   stage B  SpliceDataGraph     — deterministically turn a link list into
 //                                  the frozen CSR (node enumeration, §2.2
 //                                  weights, prestige), re-folding only the
