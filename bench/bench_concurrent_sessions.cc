@@ -34,15 +34,14 @@
 //      unless the pool degrades badly). The deadline-miss rate must
 //      therefore sit strictly inside (0,1) — a pinned 0.0 or 1.0 means
 //      the scenario measures a constant, not degradation.
-//   4. Query cache: the epoch-keyed query/answer cache
+//   4. Query cache: the epoch-keyed answer cache
 //      (src/server/query_cache.h) under Zipf(s=1.0)-repeated traffic — a
 //      second engine over an identically generated dataset runs with the
 //      cache on, the cache-off engine provides reference transcripts.
 //      Warm every distinct query (misses), pump 512 Zipf-skewed pooled
 //      submissions (hits), apply an identical insert burst to both
-//      engines (answer entries invalidate; resolutions of untouched
-//      terms survive the journal), refreeze both (dead-epoch purge),
-//      re-query twice (misses, then hits). Byte-identity of cache-on vs
+//      engines (answer entries invalidate), refreeze both (dead-epoch
+//      purge), re-query twice (misses, then hits). Byte-identity of cache-on vs
 //      cache-off transcripts is checked at every phase (always hard);
 //      the probe counters are deterministic, so the >= 90% hit-rate
 //      floor is hard too. Cache-on vs cache-off qps is reported and
@@ -434,9 +433,7 @@ int main(int argc, char** argv) {
     }
 
     // Identical insert burst on both engines: the pending bump invalidates
-    // every answer entry; the burst's tokens overlap some query terms
-    // (transaction/soumen/sunita) but not others (author/mohan/seltzer),
-    // so the journal keeps the untouched resolutions alive.
+    // every answer entry.
     auto burst = [&](BanksEngine& target) {
       std::vector<Mutation> batch;
       batch.push_back(Mutation::Insert(
@@ -469,36 +466,30 @@ int main(int argc, char** argv) {
     cache_stats = cached.query_cache_stats();
   }
 
-  // Every answer probe classifies as exactly one of hit/miss/invalidation
-  // (resolution probes have their own counters).
+  // Every answer probe classifies as exactly one of hit/miss/invalidation.
   const double classified = double(cache_stats.hits + cache_stats.misses +
                                    cache_stats.invalidations);
   cache_hit_rate = classified == 0 ? 0 : double(cache_stats.hits) / classified;
   std::printf("\nquery cache: Zipf(s=1.0) x %d pooled + 4 serial rounds over "
               "%zu distinct queries\n  hits %llu, misses %llu, invalidations "
-              "%llu, hit rate %.1f%% (floor 90%%)\n  resolutions: %llu reused "
-              "/ %llu resolved; refreeze purged %llu entries\n  qps cache-on "
-              "%.1f vs cache-off %.1f (%.2fx)\n",
+              "%llu, hit rate %.1f%% (floor 90%%)\n  refreeze purged %llu "
+              "entries\n  qps cache-on %.1f vs cache-off %.1f (%.2fx)\n",
               512, kDistinct,
               static_cast<unsigned long long>(cache_stats.hits),
               static_cast<unsigned long long>(cache_stats.misses),
               static_cast<unsigned long long>(cache_stats.invalidations),
               cache_hit_rate * 100,
-              static_cast<unsigned long long>(cache_stats.resolution_hits),
-              static_cast<unsigned long long>(cache_stats.resolution_misses),
               static_cast<unsigned long long>(cache_purged), cache_qps_on,
               cache_qps_off, Ratio(cache_qps_on, cache_qps_off));
   // Deterministic floors (hard): the protocol constructs >= 90% hits, at
-  // least kDistinct invalidations, resolution reuse across the burst, and
-  // a non-empty refreeze purge. A miss here is a cache behaviour change,
-  // not machine noise.
+  // least kDistinct invalidations, and a non-empty refreeze purge. A miss
+  // here is a cache behaviour change, not machine noise.
   if (cache_hit_rate < 0.9) {
     cache_floors_ok = false;
     std::printf("!! cache hit rate %.1f%% below the 90%% floor\n",
                 cache_hit_rate * 100);
   }
-  if (cache_stats.invalidations < kDistinct || cache_stats.resolution_hits == 0 ||
-      cache_purged == 0) {
+  if (cache_stats.invalidations < kDistinct || cache_purged == 0) {
     cache_floors_ok = false;
     std::printf("!! cache lifecycle counters missed their floors\n");
   }
@@ -511,10 +502,6 @@ int main(int argc, char** argv) {
   cache_report.Counter("cache/misses", double(cache_stats.misses));
   cache_report.Counter("cache/invalidations",
                        double(cache_stats.invalidations));
-  cache_report.Counter("cache/resolution_hits",
-                       double(cache_stats.resolution_hits));
-  cache_report.Counter("cache/resolution_misses",
-                       double(cache_stats.resolution_misses));
   cache_report.Counter("cache/purged", double(cache_purged));
   cache_report.Counter("cache/hit_rate_pct", cache_hit_rate * 100);
   cache_report.Info("cache/qps_on", cache_qps_on);

@@ -32,8 +32,8 @@ BanksEngine::BanksEngine(Database db, BanksOptions options)
   }
   util::MutexLock serialize(updater_.mu());
   util::WriterMutexLock lock(&state_mu_);
-  // Attach the cache before the first epoch begins so the coordinator's
-  // invalidation hooks cover every mutation the engine ever applies.
+  // Attach the cache before the first epoch begins so every refreeze
+  // purges the entries of the epoch it retires.
   updater_.AttachCache(cache_.get());
   state_ = updater_.Rebuild(/*epoch=*/0);
   updater_.BeginEpoch(state_->dg);
@@ -350,20 +350,8 @@ Result<QuerySession> BanksEngine::OpenSessionImpl(
       KeywordResolver resolver(db_, *st->dg, *st->index, *st->metadata,
                                st->numeric.get(), st->delta.get(),
                                st->index_delta.get());
-      std::vector<std::vector<KeywordMatch>> matches;
-      if (cache_ != nullptr) {
-        // Read-through resolution: a partial-overlap hit (same keyword in
-        // a different query, or a changed non-resolution option) skips the
-        // index lookups; the journal guarantees exactness.
-        matches.reserve(init.parsed.terms.size());
-        for (const auto& term : init.parsed.terms) {
-          matches.push_back(cache_->ResolveThrough(resolver, term, match,
-                                                   st->epoch,
-                                                   st->pending_mutations));
-        }
-      } else {
-        matches = resolver.ResolveAllScored(init.parsed, match);
-      }
+      std::vector<std::vector<KeywordMatch>> matches =
+          resolver.ResolveAllScored(init.parsed, match);
 
       // Reported matches: under authorization, keyword matches in hidden
       // tables are invisible to the user (the search itself still traverses
@@ -437,15 +425,10 @@ Result<QuerySession> BanksEngine::OpenSessionImpl(
     if (cacheable) {
       // Viable, policy-free, unlimited: admit the run's answers if it
       // finishes naturally (the session drops the sink on Cancel or any
-      // budget truncation attached mid-stream). Concurrent identical
-      // misses coalesce here — the first opener leads and fills the
-      // cache, later ones follow its flight instead of searching.
-      auto join = cache_->JoinFlight(std::move(answer_key), st->epoch,
-                                     st->pending_mutations,
-                                     init.keyword_matches,
-                                     init.dropped_terms);
-      init.cache_sink = std::move(join.sink);
-      init.flight = std::move(join.flight);
+      // budget truncation attached mid-stream).
+      init.cache_sink = cache_->MakeAnswerFill(
+          std::move(answer_key), st->epoch, st->pending_mutations,
+          init.keyword_matches, init.dropped_terms);
     }
   }
   // Strategy selection (§3 backward by default; forward / bidirectional

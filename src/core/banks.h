@@ -104,7 +104,9 @@ struct UpdateOptions {
   std::string snapshot_path;
 };
 
-/// Epoch-keyed query/answer cache knobs (src/server/query_cache.h).
+/// Epoch-keyed answer cache knobs (src/server/query_cache.h). The cache
+/// holds complete answer lists only, each valid at the exact (epoch,
+/// pending) it was stored at; keyword resolution always runs live.
 struct QueryCacheOptions {
   /// Off by default: serial single-shot workloads gain nothing from the
   /// cache, and benches comparing serial vs. pooled must not let the
@@ -122,7 +124,7 @@ struct BanksOptions {
   SearchOptions search;      ///< default search settings (§2.3, §3)
   MatchOptions match;        ///< keyword matching knobs
   UpdateOptions update;      ///< live-ingestion knobs (refreeze trigger)
-  QueryCacheOptions cache;   ///< epoch-keyed query/answer cache
+  QueryCacheOptions cache;   ///< epoch-keyed answer cache
 
   /// Tables excluded as information nodes, by name (resolved to ids at
   /// engine construction; merged into search.excluded_root_tables).
@@ -322,11 +324,11 @@ class BanksEngine {
   Database db_;
   BanksOptions options_;
 
-  // Epoch-keyed query/answer cache (null = disabled). Created before the
-  // coordinator's first BeginEpoch and attached to it, so every mutation
-  // and refreeze journals invalidations through the serialized writer
-  // path. Internally synchronized; read-side probes run under the shared
-  // state lock only to pin the (epoch, pending) pair they validate with.
+  // Epoch-keyed answer cache (null = disabled). Created before the
+  // coordinator's first BeginEpoch and attached to it, so every refreeze
+  // purges dead-epoch entries through the serialized writer path.
+  // Internally synchronized; read-side probes run under the shared state
+  // lock only to pin the (epoch, pending) pair they validate with.
   std::unique_ptr<server::QueryCache> cache_;
 
   // Swappable read state (update/live_state.h). Readers load the pointer

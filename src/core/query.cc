@@ -180,12 +180,8 @@ std::vector<KeywordMatch> KeywordResolver::ResolveNumeric(
 }
 
 std::vector<KeywordMatch> KeywordResolver::ResolveScored(
-    const QueryTerm& term, const MatchOptions& options,
-    ResolutionProvenance* provenance) const {
+    const QueryTerm& term, const MatchOptions& options) const {
   if (term.kind == QueryTerm::Kind::kNumericApprox) {
-    // Numeric terms read live column values; their output cannot be
-    // revalidated from journaled tokens.
-    if (provenance != nullptr) provenance->numeric = true;
     return ResolveNumeric(term, options);
   }
 
@@ -201,7 +197,6 @@ std::vector<KeywordMatch> KeywordResolver::ResolveScored(
                               : std::span<const std::string>(),
       term.keyword, options.approx);
   if (keywords.empty()) keywords.push_back(term.keyword);
-  if (provenance != nullptr) provenance->tokens = keywords;
 
   for (const auto& kw : keywords) {
     double rel = 1.0;
@@ -235,15 +230,6 @@ std::vector<KeywordMatch> KeywordResolver::ResolveScored(
   if (options.include_metadata && term.attribute.empty()) {
     for (Rid rid : metadata_->LookupRids(*db_, term.keyword)) {
       hits.emplace_back(rid, 1.0);
-    }
-    if (provenance != nullptr) {
-      // Record the matched *tables* (not the rids): every live row of a
-      // matched table is a match, so inserts/deletes there perturb the
-      // set even when the new row contains none of the tokens above.
-      for (const auto& meta : metadata_->Lookup(term.keyword)) {
-        const Table* t = db_->table(meta.table);
-        if (t != nullptr) provenance->tables.push_back(t->id());
-      }
     }
   }
 

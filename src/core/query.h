@@ -55,23 +55,6 @@ struct MatchOptions {
   ApproxMatchOptions approx;
 };
 
-/// Why a term resolved to its node set — the inputs a cached resolution
-/// depends on, used by the query cache's mutation journal to decide
-/// whether a stored resolution is still exact after mid-epoch deltas:
-///   - `tokens`: the expanded index tokens looked up. Approx expansion
-///     also sees the delta vocabulary, so a later write can change this
-///     list too: the cache treats a journaled token near the term as
-///     touching it (QueryCache::ResolutionStillValid);
-///   - `tables`: ids of metadata-matched tables (every live row of those
-///     tables is a match, so any row change there perturbs the set);
-///   - `numeric`: the term read live column values (numeric terms); such
-///     resolutions are never reusable across pending deltas.
-struct ResolutionProvenance {
-  std::vector<std::string> tokens;
-  std::vector<uint32_t> tables;
-  bool numeric = false;
-};
-
 /// A keyword node with its match relevance in (0, 1]. Exact matches score
 /// 1; fuzzy-expanded and numeric-approx matches score less, which the
 /// scorer folds into answer relevance (§2.3 "extending the model to
@@ -109,11 +92,8 @@ class KeywordResolver {
 
   /// Scored matches for one term (sorted by node, deduplicated keeping the
   /// best relevance per node).
-  /// `provenance`, when non-null, receives the inputs the resolution
-  /// depends on (see ResolutionProvenance) for cache revalidation.
-  std::vector<KeywordMatch> ResolveScored(
-      const QueryTerm& term, const MatchOptions& options,
-      ResolutionProvenance* provenance = nullptr) const;
+  std::vector<KeywordMatch> ResolveScored(const QueryTerm& term,
+                                          const MatchOptions& options) const;
 
   /// Nodes relevant to one term (sorted, deduplicated; drops relevances).
   std::vector<NodeId> Resolve(const QueryTerm& term,

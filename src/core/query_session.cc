@@ -19,74 +19,12 @@ QuerySession::QuerySession(QuerySessionInit init)
       cache_sink_(std::move(init.cache_sink)),
       prefilled_(std::move(init.prefilled)),
       prefilled_stats_(init.prefilled_stats),
-      prefilled_mode_(init.prefilled_mode),
-      flight_(std::move(init.flight)) {
+      prefilled_mode_(init.prefilled_mode) {
   if (searcher_ != nullptr) {
     searcher_->set_budget(init.budget);
-    if (flight_ != nullptr) {
-      // Follower of a coalesced miss: park the searcher unstarted; the
-      // first pump/pull decides between adopting the leader's run and
-      // starting this one.
-      pending_sets_ = std::move(init.active_sets);
-    } else {
-      searcher_->BeginScored(init.active_sets);
-      stream_ = AnswerStream(searcher_.get());
-    }
+    searcher_->BeginScored(init.active_sets);
+    stream_ = AnswerStream(searcher_.get());
   }
-}
-
-// Follower resolution, non-blocking: true once the session can make
-// progress (flight adopted or own search started), false while the leader
-// is still computing.
-bool QuerySession::PollFlight() {
-  std::vector<ScoredAnswer> answers;
-  SearchStats flight_stats;
-  switch (flight_->Poll(&answers, &flight_stats)) {
-    case AnswerFlight::State::kRunning:
-      return false;
-    case AnswerFlight::State::kPublished:
-      AdoptFlight(std::move(answers), flight_stats);
-      return true;
-    case AnswerFlight::State::kAborted:
-      StartOwnSearch();
-      return true;
-  }
-  return true;
-}
-
-// Blocking consumers (Next/HasNext/Drain) cannot usefully spin on the
-// flight: adopt it if the leader already finished, otherwise search for
-// ourselves right away.
-void QuerySession::ResolveFlightBlocking() {
-  std::vector<ScoredAnswer> answers;
-  SearchStats flight_stats;
-  if (flight_->Poll(&answers, &flight_stats) ==
-      AnswerFlight::State::kPublished) {
-    AdoptFlight(std::move(answers), flight_stats);
-  } else {
-    StartOwnSearch();
-  }
-}
-
-// The leader's answers were delivered post-filter/post-remap by an
-// identical run on the identical state, so they replay exactly like a
-// cache hit (ranks re-assigned at our own delivery).
-void QuerySession::AdoptFlight(std::vector<ScoredAnswer> answers,
-                               const SearchStats& stats) {
-  prefilled_ = std::move(answers);
-  prefilled_stats_ = stats;
-  prefilled_pos_ = 0;
-  prefilled_mode_ = true;
-  flight_.reset();
-  searcher_.reset();
-  pending_sets_.clear();
-}
-
-void QuerySession::StartOwnSearch() {
-  flight_.reset();
-  searcher_->BeginScored(pending_sets_);
-  pending_sets_.clear();
-  stream_ = AnswerStream(searcher_.get());
 }
 
 bool QuerySession::Visible(const ConnectionTree& tree) const {
@@ -115,7 +53,6 @@ void QuerySession::RemapDroppedTerms(ConnectionTree* tree) const {
 // assigned at delivery (in Next()), not here, so an answer held in the
 // lookahead slot and then discarded by Cancel() is never counted.
 std::optional<ScoredAnswer> QuerySession::PullFiltered() {
-  if (flight_ != nullptr) ResolveFlightBlocking();
   if (delivered_ >= deliver_cap_) return std::nullopt;
   if (prefilled_mode_) {
     // Cache-hit replay: the answers were stored post-filter/post-remap by
@@ -179,7 +116,6 @@ bool QuerySession::HasNext() {
 PumpOutcome QuerySession::PumpSlice(size_t max_steps,
                                     std::optional<ScoredAnswer>* out) {
   out->reset();
-  if (flight_ != nullptr && !PollFlight()) return PumpOutcome::kYielded;
   if (lookahead_.has_value()) {  // HasNext() may have buffered one
     *out = std::move(lookahead_);
     lookahead_.reset();
@@ -214,7 +150,6 @@ PumpOutcome QuerySession::PumpSlice(size_t max_steps,
 
 PumpOutcome QuerySession::PumpMany(size_t max_steps,
                                    std::vector<ScoredAnswer>* out) {
-  if (flight_ != nullptr && !PollFlight()) return PumpOutcome::kYielded;
   if (lookahead_.has_value()) {  // HasNext() may have buffered one
     lookahead_->rank = delivered_++;
     RecordDelivery(*lookahead_);
@@ -290,8 +225,6 @@ void QuerySession::Cancel() {
   lookahead_.reset();
   cache_sink_.reset();  // an abandoned run is never admitted to the cache
   fill_.clear();
-  flight_.reset();  // a follower simply detaches; the leader runs on
-  pending_sets_.clear();
   stream_.Cancel();
 }
 

@@ -56,23 +56,6 @@ class AnswerCacheSink {
                        const SearchStats& stats) = 0;
 };
 
-/// One in-flight shared answer computation: when two sessions miss the
-/// answer cache on the same key against the same (epoch, pending) at the
-/// same time, the second joins the first's run as a *follower* and polls
-/// this instead of expanding the graph itself. On kPublished the leader's
-/// complete delivered run (post-filter, post-remap — replayable verbatim)
-/// is copied into the out-params; kAborted means the leader gave up
-/// (cancel / mid-stream truncation) and the follower must search for
-/// itself. Implementations (src/server/query_cache.cc) synchronize
-/// internally; Poll is safe from whichever thread drives the session.
-class AnswerFlight {
- public:
-  enum class State { kRunning, kPublished, kAborted };
-  virtual ~AnswerFlight() = default;
-  virtual State Poll(std::vector<ScoredAnswer>* answers,
-                     SearchStats* stats) = 0;
-};
-
 /// Everything a session needs, assembled by BanksEngine::OpenSession.
 /// Callers never build one of these by hand.
 struct QuerySessionInit {
@@ -111,13 +94,6 @@ struct QuerySessionInit {
   std::vector<ScoredAnswer> prefilled;
   SearchStats prefilled_stats;
   bool prefilled_mode = false;
-
-  /// Coalesced-miss follower: when set, the session parks its searcher
-  /// (BeginScored deferred) and polls the flight instead. Pumping returns
-  /// kYielded while the flight runs; a publication is adopted as a
-  /// prefilled replay; an abort — or any blocking pull, which cannot
-  /// usefully poll — starts the parked searcher.
-  std::shared_ptr<AnswerFlight> flight;
 };
 
 /// One open query: resolved keywords + the live answer stream.
@@ -219,11 +195,6 @@ class QuerySession {
   std::optional<ScoredAnswer> PullFiltered();
   void RecordDelivery(const ScoredAnswer& answer);
   void MaybePublishFill();
-  bool PollFlight();
-  void ResolveFlightBlocking();
-  void AdoptFlight(std::vector<ScoredAnswer> answers,
-                   const SearchStats& stats);
-  void StartOwnSearch();
 
   std::unique_ptr<ExpansionSearchBase> searcher_;
   std::optional<ScoredAnswer> lookahead_;  // filled by HasNext()
@@ -249,12 +220,6 @@ class QuerySession {
   size_t prefilled_pos_ = 0;
   SearchStats prefilled_stats_;
   bool prefilled_mode_ = false;
-
-  // Follower state (thread-confined like everything else): while flight_
-  // is set the searcher exists but has NOT begun — its keyword sets wait
-  // in pending_sets_ so an aborted flight can start the real search.
-  std::shared_ptr<AnswerFlight> flight_;
-  std::vector<std::vector<KeywordMatch>> pending_sets_;
 };
 
 }  // namespace banks

@@ -374,10 +374,6 @@ void BanksService::HandleStats(const HttpRequest& request,
   AppendKeyValue(&out, "hits", cache.hits, &first);
   AppendKeyValue(&out, "misses", cache.misses, &first);
   AppendKeyValue(&out, "invalidations", cache.invalidations, &first);
-  AppendKeyValue(&out, "resolution_hits", cache.resolution_hits, &first);
-  AppendKeyValue(&out, "resolution_invalidations",
-                 cache.resolution_invalidations, &first);
-  AppendKeyValue(&out, "coalesced", cache.coalesced, &first);
   AppendKeyValue(&out, "evictions", cache.evictions, &first);
   AppendKeyValue(&out, "entries", cache.entries, &first);
   AppendKeyValue(&out, "bytes", cache.bytes, &first);

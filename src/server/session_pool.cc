@@ -182,10 +182,11 @@ SessionPool::SliceResult SessionPool::RunSlice(ServerTask& task) {
   task.steps = task.session.pump_steps();
   const bool exhausted = outcome == PumpOutcome::kExhausted;
   if (!exhausted && task.steps <= steps_before) {
-    // Zero-progress yield: a follower parked on an in-flight identical
-    // run does no stepper work, so charge the granted quantum anyway —
-    // otherwise the least-attained-service tiebreak keeps scheduling the
-    // parked session ahead of the leader it is waiting on.
+    // Zero-progress yield: a prefilled (cache-hit) replay, or a slice that
+    // only delivered answers already buffered, does no stepper work, so
+    // charge the granted quantum anyway — otherwise the
+    // least-attained-service tiebreak keeps scheduling that session ahead
+    // of sessions that are expanding the graph.
     task.steps = steps_before + task.quantum;
   }
   task.quantum =
@@ -274,9 +275,6 @@ PoolStats SessionPool::stats() const {
   snapshot.cache_hits = cache.hits;
   snapshot.cache_misses = cache.misses;
   snapshot.cache_invalidations = cache.invalidations;
-  snapshot.cache_resolution_hits = cache.resolution_hits;
-  snapshot.cache_resolution_invalidations = cache.resolution_invalidations;
-  snapshot.cache_coalesced = cache.coalesced;
   snapshot.snapshot_epoch = engine_->snapshot_epoch();
   snapshot.snapshot_bytes = engine_->snapshot_bytes();
   return snapshot;

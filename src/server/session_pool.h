@@ -119,14 +119,11 @@ struct PoolStats {
   uint64_t engine_epoch = 0;       ///< current refreeze generation
   uint64_t pending_mutations = 0;  ///< deltas awaiting the next refreeze
 
-  // Query-cache gauges (src/server/query_cache.h), sampled from the engine
-  // at stats() time; all zero when the cache is disabled.
+  // Answer-cache gauges (src/server/query_cache.h), sampled from the
+  // engine at stats() time; all zero when the cache is disabled.
   uint64_t cache_hits = 0;             ///< answer-entry hits (prefilled)
   uint64_t cache_misses = 0;           ///< answer probes with no entry
   uint64_t cache_invalidations = 0;    ///< stale answer entries on probe
-  uint64_t cache_resolution_hits = 0;  ///< keyword-resolution reuse
-  uint64_t cache_resolution_invalidations = 0;  ///< stale resolutions
-  uint64_t cache_coalesced = 0;  ///< concurrent misses joined onto one run
 
   // Snapshot persistence gauges (src/snapshot/), sampled from the engine:
   // the last epoch file written (SaveSnapshot / refreeze rotation) or

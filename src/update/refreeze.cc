@@ -51,8 +51,8 @@ size_t RefreezeCoordinator::BeginEpoch(DataGraphSnapshot base) {
   index_delta_.reset();
   log_.Checkpoint();
   if (cache_ == nullptr) return 0;
-  // Rebind the cache's mutation journal to the fresh epoch and purge
-  // entries keyed to dead epochs (their NodeIds no longer mean anything).
+  // Purge entries keyed to dead epochs (their NodeIds no longer mean
+  // anything).
   return cache_->OnRefreeze(epoch_);
 }
 
@@ -93,7 +93,6 @@ std::vector<Result<Rid>> RefreezeCoordinator::ApplyBatch(
   // Apply() clones the (growing) overlay per mutation, O(K²) for a burst
   // of K; folding the burst into one working clone is O(K).
   WorkingOverlays w = CloneOverlays();
-  const size_t pending_before = log_.pending();
   std::vector<Result<Rid>> results;
   results.reserve(mutations.size());
   bool any_applied = false;
@@ -101,74 +100,8 @@ std::vector<Result<Rid>> RefreezeCoordinator::ApplyBatch(
     results.push_back(ApplyOne(&w, &m));
     any_applied |= results.back().ok();
   }
-  if (any_applied) {
-    PublishOverlays(std::move(w));
-    // Journal the touched tokens/tables before the engine publishes the
-    // new LiveState (we are still inside the writer critical section):
-    // cached resolutions overlapping this batch stop revalidating.
-    NotifyCacheApplied(log_.pending() - pending_before);
-  }
+  if (any_applied) PublishOverlays(std::move(w));
   return results;
-}
-
-void RefreezeCoordinator::NotifyCacheApplied(size_t applied) {
-  if (cache_ == nullptr || applied == 0) return;
-  std::vector<std::string> tokens;
-  std::vector<uint32_t> tables;
-  const auto& entries = log_.entries();
-  // Tokens of every string column of the mutated row. Deleted rows stay
-  // readable in storage until the next refreeze (slots are tombstoned,
-  // never reused), so post-apply collection covers deletes too.
-  auto add_row_tokens = [&](Rid rid) {
-    const Table* t = db_->table(rid.table_id);
-    if (t == nullptr || rid.row >= t->num_rows()) return;
-    const Tuple& row = t->row(rid.row);
-    for (size_t c = 0; c < t->schema().num_columns() && c < row.size(); ++c) {
-      const Value& v = row.at(c);
-      if (v.is_null() || v.type() != ValueType::kString) continue;
-      for (auto& tok : Tokenize(v.AsString())) tokens.push_back(std::move(tok));
-    }
-  };
-  for (size_t i = entries.size() - applied; i < entries.size(); ++i) {
-    const Mutation& m = entries[i];
-    tables.push_back(m.rid.table_id);
-    switch (m.kind) {
-      case Mutation::Kind::kInsert:
-        add_row_tokens(m.rid);
-        break;
-      case Mutation::Kind::kDelete:
-        add_row_tokens(m.rid);
-        // The dead row may also have matched through stale postings of
-        // values it held *earlier this epoch* (an update never un-indexes
-        // the old tokens until the refreeze — "stale recall"), so the
-        // current row under-covers its membership. The epoch's log holds
-        // the full update history: journal every overwritten value too.
-        for (const Mutation& prior : entries) {
-          if (prior.kind == Mutation::Kind::kUpdate && prior.rid == m.rid &&
-              prior.old_value.type() == ValueType::kString) {
-            for (auto& tok : Tokenize(prior.old_value.AsString())) {
-              tokens.push_back(std::move(tok));
-            }
-          }
-        }
-        break;
-      case Mutation::Kind::kUpdate:
-        // Membership can only change through the overwritten value or the
-        // new one; both token sets are journaled.
-        if (m.old_value.type() == ValueType::kString) {
-          for (auto& tok : Tokenize(m.old_value.AsString())) {
-            tokens.push_back(std::move(tok));
-          }
-        }
-        if (m.value.type() == ValueType::kString) {
-          for (auto& tok : Tokenize(m.value.AsString())) {
-            tokens.push_back(std::move(tok));
-          }
-        }
-        break;
-    }
-  }
-  cache_->OnMutationsApplied(epoch_, log_.pending(), tokens, tables);
 }
 
 Result<Rid> RefreezeCoordinator::ApplyOne(WorkingOverlays* w, Mutation* m) {

@@ -50,7 +50,7 @@ namespace banks {
 struct BanksOptions;  // core/banks.h; carries GraphBuildOptions + UpdateOptions
 
 namespace server {
-class QueryCache;  // server/query_cache.h; invalidation hooks below
+class QueryCache;  // server/query_cache.h; purged by BeginEpoch
 }  // namespace server
 
 /// Outcome of one snapshot rebuild.
@@ -81,9 +81,9 @@ class RefreezeCoordinator {
   /// returned pointer with mu_, so the REQUIRES contracts below bind.
   util::Mutex* mu() const BANKS_RETURN_CAPABILITY(mu_) { return &mu_; }
 
-  /// Attaches the engine's query cache (null = none) so mutation/refreeze
-  /// invalidation hooks fire from the serialized writer path. Called once
-  /// at engine construction, before the first Rebuild/BeginEpoch.
+  /// Attaches the engine's query cache (null = none) so the refreeze purge
+  /// runs on the serialized writer path. Called once at engine
+  /// construction, before the first Rebuild/BeginEpoch.
   void AttachCache(server::QueryCache* cache) BANKS_REQUIRES(mu_);
 
   /// Starts a new overlay generation over `base` (engine construction and
@@ -156,13 +156,6 @@ class RefreezeCoordinator {
   WorkingOverlays CloneOverlays() const BANKS_REQUIRES(mu_);
   void PublishOverlays(WorkingOverlays w) BANKS_REQUIRES(mu_);
 
-  /// Journals the tokens/tables touched by the last `applied` log entries
-  /// into the query cache. Runs BEFORE the engine publishes the new
-  /// LiveState (we're still inside the Apply/ApplyBatch critical section),
-  /// so a reader can never validate a stale entry against a journal that
-  /// has not seen its state yet — journal-ahead is conservatively sound.
-  void NotifyCacheApplied(size_t applied) BANKS_REQUIRES(mu_);
-
   /// Dispatches one mutation into `w` (storage write + overlay fold + log
   /// append). On error nothing — storage, overlays, log — changed.
   Result<Rid> ApplyOne(WorkingOverlays* w, Mutation* m) BANKS_REQUIRES(mu_);
@@ -207,7 +200,7 @@ class RefreezeCoordinator {
   std::shared_ptr<const LinkTable> links_ BANKS_GUARDED_BY(mu_);
 
   /// The engine's query cache (null = caching disabled) and the epoch the
-  /// last Rebuild/MergeRebuild produced, used to key invalidation hooks.
+  /// last Rebuild/MergeRebuild produced, which the refreeze purge keeps.
   server::QueryCache* cache_ BANKS_GUARDED_BY(mu_) = nullptr;
   uint64_t epoch_ BANKS_GUARDED_BY(mu_) = 0;
 };

@@ -25,7 +25,6 @@ namespace banks {
 namespace {
 
 using server::CachedAnswers;
-using server::CachedResolution;
 using server::QueryCache;
 using server::QueryCacheStats;
 
@@ -60,17 +59,6 @@ TEST(QueryCacheUnit, AnswerKeySensitivity) {
   MatchOptions m2 = m;
   m2.approx.enable = !m.approx.enable;
   EXPECT_NE(base, QueryCache::AnswerKey(q, s, m2));
-}
-
-TEST(QueryCacheUnit, ResolutionKeySensitivity) {
-  const MatchOptions m;
-  const QueryTerm a = ParseQuery("soumen").terms[0];
-  const QueryTerm b = ParseQuery("sunita").terms[0];
-  const QueryTerm c = ParseQuery("authorname:soumen").terms[0];
-  EXPECT_EQ(QueryCache::ResolutionKey(a, m), QueryCache::ResolutionKey(a, m));
-  EXPECT_NE(QueryCache::ResolutionKey(a, m), QueryCache::ResolutionKey(b, m));
-  EXPECT_NE(QueryCache::ResolutionKey(a, m), QueryCache::ResolutionKey(c, m))
-      << "attribute restriction changes the resolution";
 }
 
 // --------------------------------------------- store/find + invalidation
@@ -108,90 +96,6 @@ TEST(QueryCacheUnit, AnswerEntriesValidateExactEpochPending) {
   cache.StoreAnswers(key, 2, 5, value);
   EXPECT_EQ(cache.FindAnswers(key, 3, 0), nullptr);
   EXPECT_EQ(cache.FindAnswers(key, 2, 5), nullptr);
-}
-
-TEST(QueryCacheUnit, ResolutionJournalValidation) {
-  DblpConfig config;
-  config.num_authors = 60;
-  config.num_papers = 120;
-  config.seed = 11;
-  DblpDataset ds = GenerateDblp(config);
-  BanksEngine engine(std::move(ds.db));
-
-  QueryCache cache(1 << 20, 2);
-  const MatchOptions match;
-  const QueryTerm soumen = ParseQuery("soumen").terms[0];
-
-  LiveStateSnapshot st = engine.state();
-  KeywordResolver resolver(engine.db(), *st->dg, *st->index, *st->metadata,
-                           st->numeric.get(), st->delta.get(),
-                           st->index_delta.get());
-
-  auto first = cache.ResolveThrough(resolver, soumen, match, 0, 0);
-  EXPECT_FALSE(first.empty());
-  EXPECT_EQ(cache.stats().resolution_misses, 1u);
-  auto second = cache.ResolveThrough(resolver, soumen, match, 0, 0);
-  EXPECT_EQ(cache.stats().resolution_hits, 1u);
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].node, second[i].node);
-    EXPECT_EQ(first[i].relevance, second[i].relevance);
-  }
-
-  // A mutation touching an unrelated token leaves the resolution provably
-  // exact at the later pending count.
-  cache.OnMutationsApplied(0, 1, {"unrelatedtoken"}, {});
-  cache.ResolveThrough(resolver, soumen, match, 0, 1);
-  EXPECT_EQ(cache.stats().resolution_hits, 2u);
-
-  // Touching one of the entry's own tokens invalidates it.
-  cache.OnMutationsApplied(0, 2, {"soumen"}, {});
-  cache.ResolveThrough(resolver, soumen, match, 0, 2);
-  EXPECT_EQ(cache.stats().resolution_invalidations, 1u);
-  EXPECT_EQ(cache.stats().invalidations, 0u);  // answer probes only
-  // ...and the re-resolved entry (stored at pending 2) hits again.
-  cache.ResolveThrough(resolver, soumen, match, 0, 2);
-  EXPECT_EQ(cache.stats().resolution_hits, 3u);
-
-  // Metadata terms record matched table ids; touching the table
-  // invalidates even when no journaled token overlaps. "paper" matches
-  // the Paper table via the metadata index.
-  const QueryTerm paper = ParseQuery("paper").terms[0];
-  cache.ResolveThrough(resolver, paper, match, 0, 2);
-  const Table* paper_table = engine.db().table(kPaperTable);
-  ASSERT_NE(paper_table, nullptr);
-  cache.OnMutationsApplied(0, 3, {"freshtoken"}, {paper_table->id()});
-  const uint64_t before = cache.stats().resolution_invalidations;
-  cache.ResolveThrough(resolver, paper, match, 0, 3);
-  EXPECT_EQ(cache.stats().resolution_invalidations, before + 1);
-}
-
-TEST(QueryCacheUnit, NumericResolutionsNeverRevalidate) {
-  DblpConfig config;
-  config.num_authors = 40;
-  config.num_papers = 80;
-  config.seed = 13;
-  DblpDataset ds = GenerateDblp(config);
-  BanksEngine engine(std::move(ds.db));
-
-  QueryCache cache(1 << 20, 2);
-  LiveStateSnapshot st = engine.state();
-  KeywordResolver resolver(engine.db(), *st->dg, *st->index, *st->metadata,
-                           st->numeric.get(), st->delta.get(),
-                           st->index_delta.get());
-  const QueryTerm numeric = ParseQuery("approx(3)").terms[0];
-  ASSERT_EQ(numeric.kind, QueryTerm::Kind::kNumericApprox);
-
-  cache.ResolveThrough(resolver, numeric, {}, 0, 0);
-  // Same (epoch, pending): no mutation happened, the snapshot is the
-  // same, so even a live-column resolution is reusable.
-  cache.ResolveThrough(resolver, numeric, {}, 0, 0);
-  EXPECT_EQ(cache.stats().resolution_hits, 1u);
-  // Any later pending: numeric resolutions read live column values, so
-  // the journal can never prove them and they always re-resolve.
-  cache.OnMutationsApplied(0, 1, {"whatever"}, {});
-  cache.ResolveThrough(resolver, numeric, {}, 0, 1);
-  EXPECT_EQ(cache.stats().resolution_invalidations, 1u);
 }
 
 TEST(QueryCacheUnit, LruEvictsByBytes) {
@@ -350,8 +254,7 @@ TEST(QueryCacheEngine, MutationsInvalidateRefreezePurges) {
   ingest(plain);
 
   // Answer entries key on the exact pending count, so *both* cached
-  // queries re-run; but "gray transaction"'s resolutions — untouched by
-  // the ingest — are proven exact by the journal and reused.
+  // queries re-run.
   auto after_on = cached.Search({.text = "soumen sunita"});
   auto after_off = plain.Search({.text = "soumen sunita"});
   ASSERT_TRUE(after_on.ok() && after_off.ok());
@@ -360,9 +263,7 @@ TEST(QueryCacheEngine, MutationsInvalidateRefreezePurges) {
   QueryCacheStats s = cached.query_cache_stats();
   EXPECT_GE(s.invalidations, 1u);
 
-  const uint64_t res_hits_before = s.resolution_hits;
   ASSERT_TRUE(cached.Search({.text = "gray transaction"}).ok());
-  EXPECT_GT(cached.query_cache_stats().resolution_hits, res_hits_before);
 
   // Refreeze purges every entry of the dead epoch...
   auto stats = cached.Refreeze();
@@ -460,11 +361,8 @@ TEST(QueryCacheProperty, CacheOnEqualsCacheOffAcrossEpochs) {
           << cached.epoch() << ", pending " << cached.pending_mutations()
           << ", probe: hits+" << post.hits - pre.hits << " miss+"
           << post.misses - pre.misses << " inval+"
-          << post.invalidations - pre.invalidations << " rhits+"
-          << post.resolution_hits - pre.resolution_hits << " rmiss+"
-          << post.resolution_misses - pre.resolution_misses << " rinval+"
-          << post.resolution_invalidations - pre.resolution_invalidations
-          << ", approx " << match.approx.enable << ")";
+          << post.invalidations - pre.invalidations << ", approx "
+          << match.approx.enable << ")";
       ASSERT_EQ(a.value().keyword_nodes, b.value().keyword_nodes);
       ASSERT_EQ(a.value().dropped_terms, b.value().dropped_terms);
     } else {
@@ -520,8 +418,6 @@ TEST(QueryCacheProperty, CacheOnEqualsCacheOffAcrossEpochs) {
   EXPECT_GT(s.hits, 0u) << "the cache never served a hit — test is vacuous";
   EXPECT_GT(s.invalidations, 0u)
       << "no entry was ever invalidated — test is vacuous";
-  EXPECT_GT(s.resolution_hits, 0u);
-  EXPECT_GT(s.resolution_invalidations, 0u);
   EXPECT_GT(s.purged, 0u);
 }
 
@@ -592,151 +488,99 @@ TEST(QueryCacheStress, ConcurrentHitMissEvictUnderMutations) {
   EXPECT_LE(s.bytes, opts.cache.max_bytes);
 }
 
-// ------------------------------------------- in-flight miss coalescing
+// ------------------------------------------ concurrent identical misses
 
-// Two sessions opened on the same key before either finishes: the second
-// must join the first's flight (counter), park without searching, and on
-// the leader's completion adopt the identical answers.
-TEST(QueryCacheCoalesce, FollowerAdoptsTheLeadersRun) {
-  DblpConfig config;
-  config.num_authors = 60;
-  config.num_papers = 120;
-  config.seed = 21;
-  DblpDataset ds = GenerateDblp(config);
-  BanksEngine engine(std::move(ds.db), CachedOptions());
-
-  auto leader = engine.OpenSession({.text = "soumen sunita"});
-  auto follower = engine.OpenSession({.text = "soumen sunita"});
-  ASSERT_TRUE(leader.ok() && follower.ok());
-  EXPECT_EQ(engine.query_cache_stats().coalesced, 1u);
-
-  // The follower must idle (kYielded, zero answers) while the flight runs.
-  std::vector<ScoredAnswer> early;
-  EXPECT_EQ(follower.value().PumpMany(1 << 20, &early),
-            PumpOutcome::kYielded);
-  EXPECT_TRUE(early.empty());
-  EXPECT_EQ(follower.value().stats().iterator_visits, 0u)
-      << "a parked follower must not expand the graph";
-
-  std::vector<ConnectionTree> led = leader.value().Drain();
-  ASSERT_FALSE(led.empty());
-
-  // Published: the next pump adopts and replays the whole run.
-  std::vector<ScoredAnswer> adopted;
-  PumpOutcome outcome = PumpOutcome::kYielded;
-  while (outcome == PumpOutcome::kYielded) {
-    outcome = follower.value().PumpMany(64, &adopted);
-  }
-  EXPECT_EQ(outcome, PumpOutcome::kExhausted);
-  ASSERT_EQ(adopted.size(), led.size());
-  for (size_t i = 0; i < led.size(); ++i) {
-    EXPECT_EQ(adopted[i].tree.UndirectedSignature(),
-              led[i].UndirectedSignature())
-        << i;
-  }
-  EXPECT_EQ(follower.value().stats().iterator_visits,
-            leader.value().stats().iterator_visits)
-      << "adoption replays the leader's final stats";
-}
-
-TEST(QueryCacheCoalesce, BlockingFollowerFallsBackImmediately) {
-  DblpConfig config;
-  config.num_authors = 60;
-  config.num_papers = 120;
-  config.seed = 22;
-  DblpDataset ds = GenerateDblp(config);
-  BanksEngine engine(std::move(ds.db), CachedOptions());
-
-  auto leader = engine.OpenSession({.text = "gray transaction"});
-  auto follower = engine.OpenSession({.text = "gray transaction"});
-  ASSERT_TRUE(leader.ok() && follower.ok());
-  EXPECT_EQ(engine.query_cache_stats().coalesced, 1u);
-
-  // A blocking Drain cannot poll; the follower searches for itself and
-  // must produce the answers an independent run produces.
-  std::vector<ConnectionTree> followed = follower.value().Drain();
-  std::vector<ConnectionTree> led = leader.value().Drain();
-  EXPECT_EQ(TreeKeys(followed), TreeKeys(led));
-}
-
-TEST(QueryCacheCoalesce, LeaderCancelAbortsTheFlight) {
-  DblpConfig config;
-  config.num_authors = 60;
-  config.num_papers = 120;
-  config.seed = 23;
-  DblpDataset ds = GenerateDblp(config);
-  BanksEngine engine(std::move(ds.db), CachedOptions());
-
-  auto leader = engine.OpenSession({.text = "seltzer sunita"});
-  auto follower = engine.OpenSession({.text = "seltzer sunita"});
-  auto reference = engine.OpenSession({.text = "mohan"});  // unrelated key: no flight
-  ASSERT_TRUE(leader.ok() && follower.ok() && reference.ok());
-
-  std::vector<ScoredAnswer> parked;
-  EXPECT_EQ(follower.value().PumpMany(1 << 20, &parked),
-            PumpOutcome::kYielded);
-  EXPECT_TRUE(parked.empty());
-
-  leader.value().Cancel();  // drops the sink -> the flight aborts
-
-  // The follower detects the abort on its next pump and runs the search
-  // itself: an independent engine-equivalent answer stream.
-  std::vector<ScoredAnswer> recovered;
-  PumpOutcome outcome = PumpOutcome::kYielded;
-  while (outcome == PumpOutcome::kYielded) {
-    outcome = follower.value().PumpMany(1 << 20, &recovered);
-  }
-  EXPECT_EQ(outcome, PumpOutcome::kExhausted);
-  auto independent = engine.Search({.text = "seltzer sunita"});
-  ASSERT_TRUE(independent.ok());
-  ASSERT_EQ(recovered.size(), independent.value().answers.size());
-  for (size_t i = 0; i < recovered.size(); ++i) {
-    EXPECT_EQ(recovered[i].tree.UndirectedSignature(),
-              independent.value().answers[i].UndirectedSignature())
-        << i;
-  }
-}
-
-TEST(QueryCacheCoalesce, PoolSurfacesCoalescedCounter) {
+// Many submitters miss on one key at once. Each miss runs its own search
+// and stores the same (epoch, pending) entry, so later stores replace the
+// first in place: every stream still equals a cache-off drain, every
+// probe is a hit or a miss, and one entry remains.
+TEST(QueryCacheEngine, ConcurrentIdenticalMissesAgree) {
   DblpConfig config;
   config.num_authors = 60;
   config.num_papers = 120;
   config.seed = 24;
-  DblpDataset ds = GenerateDblp(config);
-  BanksEngine engine(std::move(ds.db), CachedOptions());
+  DblpDataset on_ds = GenerateDblp(config);
+  DblpDataset off_ds = GenerateDblp(config);
+  BanksEngine engine(std::move(on_ds.db), CachedOptions());
+  BanksEngine plain(std::move(off_ds.db));
+  auto reference = plain.Search({.text = "soumen sunita"});
+  ASSERT_TRUE(reference.ok());
+  ASSERT_FALSE(reference.value().answers.empty());
+  const auto expected = TreeKeys(reference.value().answers);
+
   server::PoolOptions popts;
   popts.num_workers = 2;
   server::SessionPool pool(engine, popts);
-
-  // Submit the same query from many threads at once: every concurrent
-  // duplicate miss must either hit the cache (a racing leader finished
-  // first) or coalesce onto a flight — never expand the graph twice for
-  // nothing. The exact split is timing-dependent; the sum is not.
   constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<std::vector<ConnectionTree>> drained(kThreads);
   std::vector<std::thread> submitters;
   std::atomic<int> failures{0};
   submitters.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&] {
+    submitters.emplace_back([&, t] {
+      // Start together, so the submits race the first run's store.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
       auto handle = pool.Submit({.text = "soumen sunita"});
       if (!handle.ok()) {
         failures.fetch_add(1);
         return;
       }
-      if (handle.value().Drain().empty()) failures.fetch_add(1);
+      drained[t] = handle.value().Drain();  // own slot: no race
     });
   }
   for (auto& t : submitters) t.join();
   EXPECT_EQ(failures.load(), 0);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(TreeKeys(drained[t]), expected) << "submitter " << t;
+  }
 
-  const server::PoolStats ps = pool.stats();
   const QueryCacheStats cs = engine.query_cache_stats();
-  EXPECT_EQ(ps.cache_coalesced, cs.coalesced);
   EXPECT_EQ(cs.hits + cs.misses, static_cast<uint64_t>(kThreads));
-  // Deterministic floor: at most one session can be the leader of the
-  // first flight, so with every session opened before any completes the
-  // rest are hits or coalesced. At minimum the counters are consistent.
-  EXPECT_LE(cs.coalesced, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_GE(cs.misses, 1u);
+  EXPECT_EQ(cs.insertions, cs.misses) << "every miss stores its run";
+  EXPECT_EQ(cs.entries, 1u);
+}
+
+// Two sessions opened on one key before either drains both miss and both
+// search; each matches the cache-off run, and the second store replaces
+// the first.
+TEST(QueryCacheEngine, TwoSessionsOpenedBeforeEitherDrainsAgree) {
+  DblpConfig config;
+  config.num_authors = 60;
+  config.num_papers = 120;
+  config.seed = 21;
+  DblpDataset on_ds = GenerateDblp(config);
+  DblpDataset off_ds = GenerateDblp(config);
+  BanksEngine engine(std::move(on_ds.db), CachedOptions());
+  BanksEngine plain(std::move(off_ds.db));
+
+  auto first = engine.OpenSession({.text = "soumen sunita"});
+  auto second = engine.OpenSession({.text = "soumen sunita"});
+  ASSERT_TRUE(first.ok() && second.ok());
+  auto reference = plain.Search({.text = "soumen sunita"});
+  ASSERT_TRUE(reference.ok());
+  ASSERT_FALSE(reference.value().answers.empty());
+
+  const std::vector<ConnectionTree> second_answers = second.value().Drain();
+  const std::vector<ConnectionTree> first_answers = first.value().Drain();
+  EXPECT_EQ(TreeKeys(first_answers), TreeKeys(reference.value().answers));
+  EXPECT_EQ(TreeKeys(second_answers), TreeKeys(reference.value().answers));
+  EXPECT_EQ(first.value().stats().iterator_visits,
+            second.value().stats().iterator_visits);
+
+  const QueryCacheStats s = engine.query_cache_stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.insertions, 2u);
+  EXPECT_EQ(s.entries, 1u);
+  // The surviving entry replays the same run.
+  auto hit = engine.Search({.text = "soumen sunita"});
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(engine.query_cache_stats().hits, 1u);
+  EXPECT_EQ(TreeKeys(hit.value().answers),
+            TreeKeys(reference.value().answers));
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ type system cannot see:
       The epoch-keyed query cache (src/server/query_cache.h) is only
       sound because every write to it happens on the engine's serving and
       refreeze paths, which hold the epoch discipline: src/server/ stores
-      and probes, src/update/ journals mutations and purges dead epochs.
+      and probes, src/update/ purges dead epochs.
       Everything else (the rest of src/, benches, examples) must treat
       the cache as read-only telemetry — a stray StoreAnswers() or
       OnRefreeze() from an unsynchronized path corrupts the exact
@@ -88,8 +88,7 @@ INDEX_MUTATOR_CALL = re.compile(
     r"(?:\.|->)(" + "|".join(INDEX_MUTATORS) + r")\s*\(")
 INDEX_MUTATION_ALLOWED = ("src/index/", "src/update/")
 
-CACHE_MUTATORS = ("StoreAnswers", "StoreResolution", "OnMutationsApplied",
-                  "OnRefreeze")
+CACHE_MUTATORS = ("StoreAnswers", "OnRefreeze")
 CACHE_MUTATOR_CALL = re.compile(
     r"(?:\.|->)(" + "|".join(CACHE_MUTATORS) + r")\s*\(")
 CACHE_MUTATION_ALLOWED = ("src/server/", "src/update/")

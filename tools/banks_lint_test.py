@@ -106,7 +106,7 @@ class CacheMutationTest(LintFixture):
         self.write("bench/bench_cache.cc",
                    "void F() { cache.OnRefreeze(epoch); }\n")
         self.write("examples/demo.cc",
-                   "void F() { cache->OnMutationsApplied(e, p, t, b); }\n")
+                   "void F() { cache->StoreAnswers(key, e, p, value); }\n")
         violations = self.lint()
         self.assertEqual(len(violations), 2)
         self.assertTrue(all("cache-mutation-confinement" in v
@@ -114,20 +114,20 @@ class CacheMutationTest(LintFixture):
 
     def test_mutator_in_server_and_update_ok(self):
         self.write("src/server/query_cache.cc",
-                   "void F() { self->StoreResolution(key, value); }\n")
+                   "void F() { self->StoreAnswers(key, e, p, value); }\n")
         self.write("src/update/refreeze.cc",
                    "void F() { cache_->OnRefreeze(epoch); }\n")
         self.assertEqual(self.lint(), [])
 
     def test_mutator_in_tests_ok(self):
         self.write("tests/query_cache_test.cc",
-                   "void F() { cache.OnMutationsApplied(e, p, t, b); }\n")
+                   "void F() { cache.StoreAnswers(key, e, p, value); }\n")
         self.assertEqual(self.lint(), [])
 
     def test_read_through_surface_ok(self):
         self.write("src/core/engine.cc",
                    "void F() { cache->FindAnswers(key, e, p);\n"
-                   "           cache->ResolveThrough(r, t, m, e, p); }\n")
+                   "           cache->MakeAnswerFill(key, e, p, m, d); }\n")
         self.assertEqual(self.lint(), [])
 
     def test_mutator_mention_in_comment_ok(self):
