@@ -361,6 +361,7 @@ void BanksService::HandleStats(const HttpRequest& request,
   AppendKeyValue(&out, "steals", pool.steals, &first);
   AppendKeyValue(&out, "publishes", pool.publishes, &first);
   AppendKeyValue(&out, "answers_published", pool.answers_published, &first);
+  AppendKeyValue(&out, "quantum_steps", pool.quantum_steps, &first);
   out += "},\"engine\":{";
   first = true;
   AppendKeyValue(&out, "epoch", engine_->epoch(), &first);
@@ -375,6 +376,8 @@ void BanksService::HandleStats(const HttpRequest& request,
   AppendKeyValue(&out, "misses", cache.misses, &first);
   AppendKeyValue(&out, "invalidations", cache.invalidations, &first);
   AppendKeyValue(&out, "evictions", cache.evictions, &first);
+  AppendKeyValue(&out, "insertions", cache.insertions, &first);
+  AppendKeyValue(&out, "purged", cache.purged, &first);
   AppendKeyValue(&out, "entries", cache.entries, &first);
   AppendKeyValue(&out, "bytes", cache.bytes, &first);
   out += '}';

@@ -579,6 +579,36 @@ TEST(HttpServerTest, KeepAliveServesSequentialMixedRequests) {
   ASSERT_NE(parsed.value().Find("cache"), nullptr);
 }
 
+TEST(HttpServerTest, StatsReportsQuantumStepsInsertionsAndPurged) {
+  TestServer ts;
+  TestClient client(ts.port);
+  TestResponse query =
+      client.Fetch("POST", "/query", R"({"text":"soumen sunita"})");
+  ASSERT_TRUE(query.ok);
+  EXPECT_EQ(query.status, 200);
+  TestResponse stats = client.Fetch("GET", "/stats", "");
+  ASSERT_TRUE(stats.ok);
+  EXPECT_EQ(stats.status, 200);
+  auto parsed = JsonValue::Parse(stats.body);
+  ASSERT_TRUE(parsed.ok()) << stats.body;
+
+  const JsonValue* pool = parsed.value().Find("pool");
+  ASSERT_NE(pool, nullptr);
+  const JsonValue* quantum_steps = pool->Find("quantum_steps");
+  ASSERT_NE(quantum_steps, nullptr) << stats.body;
+  ASSERT_TRUE(quantum_steps->is_number());
+  EXPECT_GT(quantum_steps->number_value(), 0.0)
+      << "the query ran at least one granted quantum";
+
+  const JsonValue* cache = parsed.value().Find("cache");
+  ASSERT_NE(cache, nullptr);
+  for (const char* key : {"insertions", "purged"}) {
+    const JsonValue* value = cache->Find(key);
+    ASSERT_NE(value, nullptr) << key << " missing: " << stats.body;
+    EXPECT_TRUE(value->is_number()) << key;
+  }
+}
+
 TEST(HttpServerTest, MutateQueryRefreezeSnapshotRoundTrip) {
   TestServer ts;
   TestClient client(ts.port);
