@@ -16,10 +16,11 @@
 // the OpenedSnapshot or the engine's current-state pointer never unmaps
 // under a reader.
 //
-// Rotation contract: WriteSnapshot writes `<path>.tmp` and renames it over
-// `<path>` (atomic on POSIX), so a crash mid-write never clobbers the
-// previous good snapshot and concurrent openers see either the old or the
-// new file, never a torn one.
+// Rotation contract: WriteSnapshot writes `<path>.tmp`, fsyncs it, renames
+// it over `<path>` (atomic on POSIX) and fsyncs the directory, so a crash
+// or power loss mid-write never clobbers the previous good snapshot and
+// concurrent openers see either the old or the new file, never a torn
+// one.
 //
 // This header is the only sanctioned way to touch snapshot files;
 // tools/banks_lint.py (snapshot-io-confinement) keeps raw mmap/munmap
@@ -76,7 +77,8 @@ struct OpenedSnapshot {
 /// derived state, and a content hash would cost a full scan per refreeze).
 uint64_t DatabaseFingerprint(const Database& db);
 
-/// Serialises `state` to `path` (via `<path>.tmp` + atomic rename).
+/// Serialises `state` to `path` (via a fsynced `<path>.tmp` + atomic
+/// rename + directory fsync; any failed step is an IoError).
 /// `state` must be a frozen epoch: no delta overlays, no pending
 /// mutations — refreeze first (FailedPrecondition otherwise).
 /// `db_fingerprint` is stored for the open-time pairing check (0 = none).

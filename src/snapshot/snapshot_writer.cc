@@ -4,7 +4,10 @@
 // after publishing the new epoch), so it favours simplicity: staging
 // buffers per section, one sequential pass over the file, checksums
 // computed from the staged bytes, then the header/section table patched in
-// at the front and the whole file renamed into place.
+// at the front and the whole file fsynced and renamed into place.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -40,6 +43,16 @@ struct Staged {
   const void* data = nullptr;
   uint64_t size = 0;
 };
+
+// fsync(2) of the file or directory at `path`, opened with `flags`. fsync
+// flushes the file's modified data whichever descriptor names it, so the
+// stream that wrote the file need not expose its own.
+bool Fsync(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && synced;
+}
 
 }  // namespace
 
@@ -218,10 +231,25 @@ Result<SnapshotWriteStats> WriteSnapshot(const LiveState& state,
       return Status::IoError("snapshot: short write to '" + tmp + "'");
     }
   }
+  // Durable rotation: the temp file's bytes reach stable storage before
+  // the rename, and the rename (the directory entry) before we return, so
+  // after a power loss `path` holds the previous epoch's file or this
+  // one, never a torn one.
+  if (!Fsync(tmp, O_RDONLY)) {
+    std::remove(tmp.c_str());
+    return Status::IoError("snapshot: cannot fsync '" + tmp + "'");
+  }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return Status::IoError("snapshot: cannot rename '" + tmp + "' to '" +
                            path + "'");
+  }
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0                ? "/"
+                                                      : path.substr(0, slash);
+  if (!Fsync(dir, O_RDONLY | O_DIRECTORY)) {
+    return Status::IoError("snapshot: cannot fsync directory '" + dir + "'");
   }
 
   SnapshotWriteStats stats;

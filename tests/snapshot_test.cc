@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <random>
@@ -294,6 +295,57 @@ TEST(SnapshotEngine, RefreezeRotatesTheEpochFile) {
   EXPECT_TRUE(
       LiveStatesIdentical(*engine.state(), *opened.value().state, &diff))
       << diff;
+}
+
+// A rotation that cannot write leaves the previous epoch file untouched:
+// a directory squatting on `<path>.tmp` makes the temp-file open fail.
+// The refreeze itself still succeeds (serving already moved on), and the
+// old file still restarts an engine. Power loss itself cannot be
+// simulated here; the fsyncs around the rename are what cover it.
+TEST(SnapshotEngine, FailedRotationKeepsThePreviousEpochFile) {
+  DblpConfig config;
+  config.num_authors = 40;
+  config.num_papers = 80;
+  const std::string path = TempPath("failed_rotation.banks");
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  BanksOptions options;
+  options.update.snapshot_path = path;
+  BanksEngine engine(GenerateDblp(config).db, options);
+  const Tuple first({Value("PROT1"), Value("first rotation")});
+  ASSERT_TRUE(engine.InsertTuple("Paper", first).ok());
+  auto rotated = engine.Refreeze(/*force=*/true);
+  ASSERT_TRUE(rotated.ok());
+  ASSERT_FALSE(rotated.value().snapshot_failed);
+  const uint64_t kept_epoch = engine.epoch();
+  const LiveStateSnapshot kept_state = engine.state();
+  const std::string kept_bytes = ReadFile(path);
+
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  ASSERT_TRUE(engine
+                  .InsertTuple("Paper", Tuple({Value("PROT2"),
+                                               Value("second rotation")}))
+                  .ok());
+  auto failed = engine.Refreeze(/*force=*/true);
+  ASSERT_TRUE(failed.ok()) << "a failed write never fails the refreeze";
+  EXPECT_TRUE(failed.value().snapshot_failed);
+  EXPECT_EQ(engine.epoch(), kept_epoch + 1);
+  EXPECT_EQ(engine.snapshot_epoch(), kept_epoch);
+  EXPECT_TRUE(std::filesystem::is_directory(tmp))
+      << "the failed write must not remove what sits at the temp path";
+  EXPECT_EQ(ReadFile(path), kept_bytes);
+
+  // The previous epoch still restarts an engine over its database.
+  Database db = GenerateDblp(config).db;
+  ASSERT_TRUE(db.Insert("Paper", first).ok());
+  auto restarted = BanksEngine::FromSnapshot(std::move(db), path);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  EXPECT_EQ(restarted.value()->epoch(), kept_epoch);
+  std::string diff;
+  EXPECT_TRUE(
+      LiveStatesIdentical(*kept_state, *restarted.value()->state(), &diff))
+      << diff;
+  std::filesystem::remove_all(tmp);
 }
 
 // ----------------------------------------------------------- corruption
